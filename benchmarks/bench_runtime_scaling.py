@@ -421,19 +421,16 @@ def test_portfolio_anytime_quality(benchmark):
 def test_arena_kernel_equivalence_and_crossover(benchmark):
     """Arena word-array kernels vs the packed big-int kernels.
 
-    ``run_arena_bench`` asserts bit-identity internally (rref matrices and
-    pivots, reduction op sequences, forward circuits, CutRankEngine height
-    profiles) before timing anything, so just reaching the assertions below
-    already proves equivalence.  When 512 is in the swept grid the arena
+    ``run_arena_bench`` asserts bit-identity internally (rref matrices,
+    pivots and ranks) before timing anything, so just reaching the
+    assertions below already proves equivalence.  When 512 is in the swept grid the arena
     rref must beat packed there — the bulk-elimination win the
     auto-selection threshold (128 columns) is calibrated against.
     """
     from repro.evaluation.perf import run_arena_bench
 
-    reduce_size = min(128, max(ARENA_SIZES))
-
     def measure():
-        return run_arena_bench(sizes=ARENA_SIZES, reduce_size=reduce_size)
+        return run_arena_bench(sizes=ARENA_SIZES)
 
     record = benchmark.pedantic(measure, rounds=1, iterations=1)
     print()
@@ -448,7 +445,6 @@ def test_arena_kernel_equivalence_and_crossover(benchmark):
         f"crossover {record['crossover_size']} "
         f"(default threshold {record['default_threshold']})"
     )
-    assert record["circuits_bit_identical"]
     assert len(record["kernel_results"]) == len(ARENA_SIZES)
     benchmark.extra_info["arena_crossover_size"] = record["crossover_size"]
     if 512 in ARENA_SIZES:

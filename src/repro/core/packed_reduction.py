@@ -27,7 +27,13 @@ either state.  The dict-based state remains the oracle;
 ``tests/test_packed_reduction.py`` property-tests the equivalence across the
 scenario zoo.  Selection follows :mod:`repro.utils.backend` like the other
 GF(2) kernels: :func:`make_reduction_state` returns the packed state on the
-``packed`` backend and the networkx oracle on ``dense``.
+``packed`` and ``arena`` backends and the networkx oracle on ``dense``.
+
+The streaming compiler's windowed state
+(:class:`repro.core.streaming.StreamingReductionState`) subclasses this one:
+its window slots play the photons, and it only overrides the two hooks the
+reversed operations go through — :meth:`_detach` (retire a removed photon and
+name it in the emitted operation) and ``_emit`` (where operations go).
 """
 
 from __future__ import annotations
@@ -42,10 +48,10 @@ from repro.core.reduction import (
     ReductionState,
 )
 from repro.graphs.graph_state import GraphState
-from repro.utils.backend import ARENA, PACKED, arena_auto_threshold, resolve_backend
+from repro.utils.backend import DENSE, resolve_backend
 from repro.utils.misc import iter_bits
 
-__all__ = ["PackedReductionState", "arena_auto_threshold", "make_reduction_state"]
+__all__ = ["PackedReductionState", "make_reduction_state"]
 
 Vertex = Hashable
 
@@ -75,30 +81,36 @@ class PackedReductionState:
         ):
             raise ValueError("photon_order must be a permutation of the target vertices")
         self.photon_of_vertex: dict[Vertex, int] = {v: i for i, v in enumerate(vertices)}
-        self.num_photons = len(vertices)
-        self.emitter_budget = emitter_budget
-        self.strict_budget = bool(strict_budget)
-        self.emitters_over_budget = 0
-
-        self._photon_mask = (1 << self.num_photons) - 1
-        self._alive_photons = self._photon_mask
         packed = target_graph.packed_adjacency()
         if photon_order is None or packed.index == self.photon_of_vertex:
             # The graph's cached packed rows already follow insertion order —
             # exactly this state's photon indexing.  Order searches build
             # many states over one subgraph; they all share the one snapshot.
-            self._rows = list(packed.rows)
+            rows = list(packed.rows)
         else:
-            self._rows = [0] * self.num_photons
+            rows = [0] * len(vertices)
             for u, v in target_graph.edges():
                 i, j = self.photon_of_vertex[u], self.photon_of_vertex[v]
-                self._rows[i] |= 1 << j
-                self._rows[j] |= 1 << i
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        self._init_rows(rows, emitter_budget, strict_budget)
+        self._alive_photons = self._photon_mask
 
+    def _init_rows(
+        self, rows: list[int], emitter_budget: int | None, strict_budget: bool
+    ) -> None:
+        """Adopt ``rows`` as the photon rows; start an empty pool and op log."""
+        self.num_photons = len(rows)
+        self._rows = rows
+        self._photon_mask = (1 << self.num_photons) - 1
+        self.emitter_budget = emitter_budget
+        self.strict_budget = bool(strict_budget)
+        self.emitters_over_budget = 0
         self.free_emitters: set[int] = set()
         self.active_emitters: set[int] = set()
         self.num_emitters_allocated = 0
         self.operations: list[ReductionOp] = []
+        self._emit = self.operations.append
 
     # ------------------------------------------------------------------ #
     # Index helpers
@@ -177,13 +189,31 @@ class PackedReductionState:
         return bit - self.num_photons if bit >= self.num_photons else None
 
     def find_twin_emitter(self, photon: int) -> int | None:
-        """First active emitter (ascending id) that is a non-adjacent twin."""
-        row = self._rows[photon]
+        """First active emitter (ascending id) that is a non-adjacent twin.
+
+        An emitter adjacent to ``photon`` carries the photon's bit, which the
+        photon's own row never does, so row equality alone decides twinship.
+        """
+        rows = self._rows
         n = self.num_photons
+        row = rows[photon]
+        if row:
+            # A twin shares the photon's whole neighbourhood, so it is adjacent
+            # to the photon's first neighbour: that row's emitter bits list
+            # every candidate in ascending id, at O(degree) instead of
+            # O(active pool).
+            candidates = rows[(row & -row).bit_length() - 1] >> n
+            while candidates:
+                low = candidates & -candidates
+                emitter = low.bit_length() - 1
+                if rows[n + emitter] == row:
+                    return emitter
+                candidates ^= low
+            return None
+        # Isolated photons are emitted before the twin rule is tried, so no
+        # rule path lands here; answer with the oracle's sweep of the pool.
         for emitter in sorted(self.active_emitters):
-            if (row >> (n + emitter)) & 1:
-                continue
-            if self._rows[n + emitter] == row:
+            if not rows[n + emitter]:
                 return emitter
         return None
 
@@ -248,6 +278,11 @@ class PackedReductionState:
     # Row update helpers
     # ------------------------------------------------------------------ #
 
+    def _detach(self, photon: int) -> int:
+        """Retire a photon whose row is cleared; return its id for the op."""
+        self._alive_photons &= ~(1 << photon)
+        return photon
+
     def _remove_vertex_bit(self, index: int) -> None:
         """Clear ``index``'s bit from every neighbour row and zero its row."""
         bit = 1 << index
@@ -275,9 +310,10 @@ class PackedReductionState:
             raise ValueError(f"photon {photon} is not in the working graph")
         emitter_id = self.acquire_free_emitter(preferred=emitter)
         self._replace_photon_by_emitter(photon, self._eidx(emitter_id))
-        self._alive_photons &= ~(1 << photon)
-        self.operations.append(
-            ReductionOp(ReductionOpType.SWAP, emitter=emitter_id, photon=photon, tag=tag)
+        self._emit(
+            ReductionOp(
+                ReductionOpType.SWAP, emitter=emitter_id, photon=self._detach(photon), tag=tag
+            )
         )
         return emitter_id
 
@@ -293,9 +329,10 @@ class PackedReductionState:
             )
         self._rows[eidx] &= ~(1 << photon)
         self._rows[photon] = 0
-        self._alive_photons &= ~(1 << photon)
-        self.operations.append(
-            ReductionOp(ReductionOpType.ABSORB_LEAF, emitter=emitter, photon=photon, tag=tag)
+        self._emit(
+            ReductionOp(
+                ReductionOpType.ABSORB_LEAF, emitter=emitter, photon=self._detach(photon), tag=tag
+            )
         )
 
     def apply_absorb_dangling(self, emitter: int, photon: int, tag: str = "") -> None:
@@ -315,10 +352,12 @@ class PackedReductionState:
         for j in iter_bits(inherited):
             self._rows[j] = (self._rows[j] & ~photon_bit) | emitter_bit
         self._rows[photon] = 0
-        self._alive_photons &= ~photon_bit
-        self.operations.append(
+        self._emit(
             ReductionOp(
-                ReductionOpType.ABSORB_DANGLING, emitter=emitter, photon=photon, tag=tag
+                ReductionOpType.ABSORB_DANGLING,
+                emitter=emitter,
+                photon=self._detach(photon),
+                tag=tag,
             )
         )
 
@@ -338,9 +377,10 @@ class PackedReductionState:
                 "ABSORB_TWIN precondition violated"
             )
         self._remove_vertex_bit(photon)
-        self._alive_photons &= ~(1 << photon)
-        self.operations.append(
-            ReductionOp(ReductionOpType.ABSORB_TWIN, emitter=emitter, photon=photon, tag=tag)
+        self._emit(
+            ReductionOp(
+                ReductionOpType.ABSORB_TWIN, emitter=emitter, photon=self._detach(photon), tag=tag
+            )
         )
 
     def apply_disconnect(self, emitter_a: int, emitter_b: int, tag: str = "") -> None:
@@ -352,7 +392,7 @@ class PackedReductionState:
             )
         self._rows[idx_a] &= ~(1 << idx_b)
         self._rows[idx_b] &= ~(1 << idx_a)
-        self.operations.append(
+        self._emit(
             ReductionOp(
                 ReductionOpType.DISCONNECT, emitter=emitter_a, emitter_b=emitter_b, tag=tag
             )
@@ -374,10 +414,12 @@ class PackedReductionState:
             emitter_id = self.acquire_free_emitter()
             self.active_emitters.discard(emitter_id)
             self.free_emitters.add(emitter_id)
-        self._alive_photons &= ~(1 << photon)
-        self.operations.append(
+        self._emit(
             ReductionOp(
-                ReductionOpType.EMIT_ISOLATED, emitter=emitter_id, photon=photon, tag=tag
+                ReductionOpType.EMIT_ISOLATED,
+                emitter=emitter_id,
+                photon=self._detach(photon),
+                tag=tag,
             )
         )
         return emitter_id
@@ -390,17 +432,15 @@ class PackedReductionState:
             raise ValueError(f"emitter {emitter} is not isolated and cannot be freed")
         self.active_emitters.discard(emitter)
         self.free_emitters.add(emitter)
-        self.operations.append(
-            ReductionOp(ReductionOpType.FREE_EMITTER, emitter=emitter, tag=tag)
-        )
+        self._emit(ReductionOp(ReductionOpType.FREE_EMITTER, emitter=emitter, tag=tag))
 
     def free_isolated_emitters(self, tag: str = "") -> list[int]:
         """Free every active emitter that has become isolated; return their ids."""
-        freed = []
-        for emitter in sorted(self.active_emitters):
-            if not self._rows[self._eidx(emitter)]:
-                self.apply_free_emitter(emitter, tag=tag)
-                freed.append(emitter)
+        rows = self._rows
+        n = self.num_photons
+        freed = sorted([e for e in self.active_emitters if not rows[n + e]])
+        for emitter in freed:
+            self.apply_free_emitter(emitter, tag=tag)
         return freed
 
     # ------------------------------------------------------------------ #
@@ -449,26 +489,14 @@ def make_reduction_state(
     """Build a reduction state on the selected GF(2) backend.
 
     ``backend=None`` resolves to the process default
-    (:func:`repro.utils.backend.get_default_backend`): ``packed`` returns the
-    bitset-native :class:`PackedReductionState`, ``arena`` the word-arena
-    :class:`~repro.core.arena_reduction.ArenaReductionState`, and ``dense``
-    the networkx-backed :class:`~repro.core.reduction.ReductionState` oracle.
-    All three produce bit-identical operation sequences for identical inputs.
-    The arena state runs only when selected explicitly (argument or
-    ``REPRO_GF2_BACKEND``): reduction updates are single-row operations with
-    nothing to batch, so the packed big-int rows stay faster at every
-    measured size and the ``packed`` default is never auto-upgraded here
-    (unlike the bulk elimination kernels in :mod:`repro.utils.gf2`).
+    (:func:`repro.utils.backend.get_default_backend`): ``dense`` returns the
+    networkx-backed :class:`~repro.core.reduction.ReductionState` oracle,
+    ``packed`` and ``arena`` the bitset-native :class:`PackedReductionState`
+    (the arena backend covers the bulk elimination kernels only: reduction
+    updates are single-row operations with nothing to batch).  Both states
+    produce bit-identical operation sequences for identical inputs.
     """
-    resolved = resolve_backend(backend)
-    if resolved == ARENA:
-        from repro.core.arena_reduction import ArenaReductionState
-
-        cls = ArenaReductionState
-    elif resolved == PACKED:
-        cls = PackedReductionState
-    else:
-        cls = ReductionState
+    cls = ReductionState if resolve_backend(backend) == DENSE else PackedReductionState
     return cls(
         target_graph,
         emitter_budget=emitter_budget,

@@ -19,8 +19,12 @@ Correctness argument.  The greedy rule engine
 
 so a windowed state answers every query identically to the whole-graph state
 **provided all neighbours of the photon being reduced are admitted**.  The
-driver admits regions in descending order and reduces region ``j + 1`` only
-after region ``j`` is present; the specs' region locality contract (edges
+windowed state is the packed reduction state itself
+(:class:`repro.core.packed_reduction.PackedReductionState`) over a bounded
+set of slots: it inherits every rule query and reversed operation and only
+adds admission, slot recycling and the op sink.  The driver admits regions
+in descending order and reduces region ``j + 1`` only after region ``j`` is
+present; the specs' region locality contract (edges
 span at most one region, or reach a pinned hub admitted up front) then
 guarantees the proviso.  Reduced photons are fully detached from the working
 graph, so their window slots are recycled.  Because the processing order
@@ -36,30 +40,26 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.reduction import (
-    InsufficientEmittersError,
-    ReductionOp,
-    ReductionOpType,
-)
+from repro.core.packed_reduction import PackedReductionState
+from repro.core.reduction import ReductionOp
 from repro.core.strategies import GreedyReductionStrategy, reduce_photon
-from repro.utils.misc import iter_bits
 
 __all__ = ["StreamCompileResult", "StreamingReductionState", "compile_stream"]
 
 OpSink = Callable[[ReductionOp], None]
 
 
-class StreamingReductionState:
-    """Windowed reduction state: bounded slots, global photon ids, op sink.
+class StreamingReductionState(PackedReductionState):
+    """Windowed packed reduction state: bounded slots, op sink.
 
-    Photons are *admitted* into one of ``window_capacity`` slots (bit ``s``
-    for slot ``s``, emitter ``e`` at bit ``window_capacity + e``) and their
-    slots are recycled once the reduction detaches them.  The rule-query
-    protocol is the same as :class:`repro.core.reduction.ReductionState` —
-    identical tie-breaking, identical pool bookkeeping — except that photons
-    are named by their **global** vertex id (the admitted window translates
-    to slots internally), so emitted operations carry the same ids as a
-    whole-graph reduction over the same processing order.
+    Photons are *admitted* into one of ``window_capacity`` slots, and slot
+    ``s`` plays the packed state's photon ``s`` (bit ``s``; emitter ``e`` at
+    bit ``window_capacity + e``), so every rule query and reversed operation
+    is the packed state's own.  ``photon_of_vertex`` maps each admitted
+    **global** vertex id to its slot; when an operation detaches a photon its
+    slot is recycled and the emitted operation names the global id, so the
+    operations carry the same ids as a whole-graph reduction over the same
+    processing order.
 
     Operations go to ``op_sink`` when given (constant memory); otherwise they
     accumulate in ``self.operations`` for the small-size oracle tests.
@@ -74,382 +74,54 @@ class StreamingReductionState:
     ):
         if window_capacity < 1:
             raise ValueError(f"window_capacity must be >= 1, got {window_capacity}")
-        self._cap = int(window_capacity)
-        self._photon_mask = (1 << self._cap) - 1
-        self._rows: list[int] = [0] * self._cap
-        self._slot_of: dict[int, int] = {}
-        self._global_of: list[int | None] = [None] * self._cap
-        self._free_slots = list(range(self._cap - 1, -1, -1))
+        self._init_rows([0] * int(window_capacity), emitter_budget, strict_budget)
+        self._alive_photons = 0
+        self.photon_of_vertex: dict[int, int] = {}
+        self._global_of = [0] * self.num_photons
+        self._free_slots = list(range(self.num_photons - 1, -1, -1))
         self.peak_window_photons = 0
         self.photons_admitted = 0
         self.photons_reduced = 0
-
-        self.emitter_budget = emitter_budget
-        self.strict_budget = bool(strict_budget)
-        self.emitters_over_budget = 0
-        self.free_emitters: set[int] = set()
-        self.active_emitters: set[int] = set()
-        self.num_emitters_allocated = 0
-
-        self._op_sink = op_sink
-        self.operations: list[ReductionOp] = []
-
-    # ------------------------------------------------------------------ #
-    # Window management
-    # ------------------------------------------------------------------ #
+        if op_sink is not None:
+            self._emit = op_sink
 
     @property
     def window_capacity(self) -> int:
-        return self._cap
-
-    @property
-    def window_size(self) -> int:
-        """Photons currently admitted (excluding emitters)."""
-        return len(self._slot_of)
+        return self.num_photons
 
     def admit_photon(self, photon: int) -> None:
         """Bring ``photon`` (a global vertex id) into the window, degree 0."""
-        if photon in self._slot_of:
+        if photon in self.photon_of_vertex:
             raise ValueError(f"photon {photon} is already admitted")
         if not self._free_slots:
             raise RuntimeError(
-                f"streaming window capacity {self._cap} exhausted; the spec's "
+                f"streaming window capacity {self.num_photons} exhausted; the spec's "
                 "region locality contract is violated or the window is too small"
             )
         slot = self._free_slots.pop()
-        self._rows[slot] = 0
-        self._slot_of[photon] = slot
+        self._alive_photons |= 1 << slot
+        self.photon_of_vertex[photon] = slot
         self._global_of[slot] = photon
         self.photons_admitted += 1
-        if len(self._slot_of) > self.peak_window_photons:
-            self.peak_window_photons = len(self._slot_of)
+        if len(self.photon_of_vertex) > self.peak_window_photons:
+            self.peak_window_photons = len(self.photon_of_vertex)
 
     def add_edge(self, u: int, v: int) -> None:
         """Connect two admitted photons (global vertex ids)."""
-        su, sv = self._slot_of[u], self._slot_of[v]
+        su, sv = self.photon_of_vertex[u], self.photon_of_vertex[v]
         if su == sv:
             raise ValueError(f"self-loop on photon {u}")
         self._rows[su] |= 1 << sv
         self._rows[sv] |= 1 << su
 
-    def _release(self, photon: int) -> None:
-        """Recycle the slot of a fully-detached photon."""
-        slot = self._slot_of.pop(photon)
-        self._rows[slot] = 0
-        self._global_of[slot] = None
+    def _detach(self, slot: int) -> int:
+        """Recycle the slot of a fully-detached photon; return its global id."""
+        self._alive_photons &= ~(1 << slot)
+        photon = self._global_of[slot]
+        del self.photon_of_vertex[photon]
         self._free_slots.append(slot)
         self.photons_reduced += 1
-
-    def _emit(self, op: ReductionOp) -> None:
-        if self._op_sink is not None:
-            self._op_sink(op)
-        else:
-            self.operations.append(op)
-
-    # ------------------------------------------------------------------ #
-    # Index helpers
-    # ------------------------------------------------------------------ #
-
-    def _eidx(self, emitter: int) -> int:
-        return self._cap + emitter
-
-    def _ensure_row(self, emitter: int) -> None:
-        needed = self._eidx(emitter) + 1
-        if len(self._rows) < needed:
-            self._rows.extend([0] * (needed - len(self._rows)))
-
-    # ------------------------------------------------------------------ #
-    # Rule-query protocol (identical tie-breaking to the oracle)
-    # ------------------------------------------------------------------ #
-
-    def photon_in_graph(self, photon: int) -> bool:
-        return photon in self._slot_of
-
-    def photon_degree(self, photon: int) -> int:
-        return self._rows[self._slot_of[photon]].bit_count()
-
-    def photon_neighbors(self, photon: int) -> tuple[set[int], set[int]]:
-        """Neighbours of a photon, split into (global photon ids, emitter ids)."""
-        row = self._rows[self._slot_of[photon]]
-        return (
-            {self._global_of[s] for s in iter_bits(row & self._photon_mask)},
-            set(iter_bits(row >> self._cap)),
-        )
-
-    def emitter_neighbors(self, emitter: int) -> tuple[set[int], set[int]]:
-        """Neighbours of an emitter, split into (global photon ids, emitter ids)."""
-        row = self._rows[self._eidx(emitter)]
-        return (
-            {self._global_of[s] for s in iter_bits(row & self._photon_mask)},
-            set(iter_bits(row >> self._cap)),
-        )
-
-    def emitter_degree(self, emitter: int) -> int:
-        return self._rows[self._eidx(emitter)].bit_count()
-
-    def photon_neighbor_counts(self, photon: int) -> tuple[int, int]:
-        row = self._rows[self._slot_of[photon]]
-        return (row & self._photon_mask).bit_count(), (row >> self._cap).bit_count()
-
-    def find_dangling_emitter(self, photon: int) -> int | None:
-        for bit in iter_bits(self._rows[self._slot_of[photon]] >> self._cap):
-            if self._rows[self._cap + bit].bit_count() == 1:
-                return bit
-        return None
-
-    def find_leaf_host(self, photon: int) -> int | None:
-        row = self._rows[self._slot_of[photon]]
-        if row.bit_count() != 1:
-            return None
-        bit = row.bit_length() - 1
-        return bit - self._cap if bit >= self._cap else None
-
-    def find_twin_emitter(self, photon: int) -> int | None:
-        rows = self._rows
-        cap = self._cap
-        row = rows[self._slot_of[photon]]
-        if row == 0:
-            # Degenerate (never reached through the rule priority: isolated
-            # photons are emitted before the twin query): fall back to the
-            # oracle's full sweep over the active pool.
-            candidates = iter(sorted(self.active_emitters))
-        else:
-            # Any twin shares the photon's entire (non-empty) neighbourhood,
-            # so it is adjacent to the photon's first neighbour — scanning
-            # that neighbour's emitter list in ascending order visits every
-            # twin candidate with the oracle's min-id tie-breaking, at
-            # O(degree) instead of O(active pool).
-            first_neighbor = (row & -row).bit_length() - 1
-            candidates = iter_bits(rows[first_neighbor] >> cap)
-        for emitter in candidates:
-            if (row >> (cap + emitter)) & 1:
-                continue
-            if rows[cap + emitter] == row:
-                return emitter
-        return None
-
-    def disconnect_absorb_candidate(self, photon: int) -> tuple[int, int] | None:
-        slot = self._slot_of[photon]
-        photon_bit = 1 << slot
-        best: tuple[int, int] | None = None
-        for e in iter_bits(self._rows[slot] >> self._cap):
-            erow = self._rows[self._cap + e]
-            if erow & self._photon_mask != photon_bit:
-                continue
-            cost = (erow >> self._cap).bit_count()
-            if best is None or cost < best[0]:
-                best = (cost, e)
-        return best
-
-    def liberation_candidate(self) -> tuple[int, int] | None:
-        best: tuple[int, int] | None = None
-        for emitter in sorted(self.active_emitters):
-            erow = self._rows[self._eidx(emitter)]
-            if erow & self._photon_mask:
-                continue
-            cost = (erow >> self._cap).bit_count()
-            if best is None or cost < best[0]:
-                best = (cost, emitter)
-        return best
-
-    # ------------------------------------------------------------------ #
-    # Emitter pool management (identical semantics to the oracle)
-    # ------------------------------------------------------------------ #
-
-    def acquire_free_emitter(self, preferred: int | None = None) -> int:
-        if preferred is not None and preferred in self.free_emitters:
-            self.free_emitters.discard(preferred)
-            self.active_emitters.add(preferred)
-            return preferred
-        if self.free_emitters:
-            chosen = min(self.free_emitters)
-            self.free_emitters.discard(chosen)
-            self.active_emitters.add(chosen)
-            return chosen
-        if (
-            self.emitter_budget is not None
-            and self.num_emitters_allocated >= self.emitter_budget
-        ):
-            if self.strict_budget:
-                raise InsufficientEmittersError(
-                    f"emitter budget of {self.emitter_budget} exhausted"
-                )
-            self.emitters_over_budget += 1
-        new_id = self.num_emitters_allocated
-        self.num_emitters_allocated += 1
-        self.active_emitters.add(new_id)
-        self._ensure_row(new_id)
-        return new_id
-
-    # ------------------------------------------------------------------ #
-    # Reversed operations (slot-space rows, global-id operations)
-    # ------------------------------------------------------------------ #
-
-    def _replace_slot_by_emitter(self, slot: int, emitter_index: int) -> None:
-        row = self._rows[slot]
-        slot_bit = 1 << slot
-        emitter_bit = 1 << emitter_index
-        self._rows[emitter_index] = row
-        for j in iter_bits(row):
-            self._rows[j] = (self._rows[j] & ~slot_bit) | emitter_bit
-        self._rows[slot] = 0
-
-    def apply_swap(self, photon: int, emitter: int | None = None, tag: str = "") -> int:
-        if photon not in self._slot_of:
-            raise ValueError(f"photon {photon} is not in the working graph")
-        emitter_id = self.acquire_free_emitter(preferred=emitter)
-        self._replace_slot_by_emitter(self._slot_of[photon], self._eidx(emitter_id))
-        self._release(photon)
-        self._emit(
-            ReductionOp(ReductionOpType.SWAP, emitter=emitter_id, photon=photon, tag=tag)
-        )
-        return emitter_id
-
-    def apply_absorb_leaf(self, emitter: int, photon: int, tag: str = "") -> None:
-        if photon not in self._slot_of:
-            raise ValueError(f"photon {photon} is not in the working graph")
-        slot = self._slot_of[photon]
-        eidx = self._eidx(emitter)
-        if self._rows[slot] != 1 << eidx:
-            raise ValueError(
-                f"photon {photon} is not dangling on emitter {emitter}; "
-                "ABSORB_LEAF precondition violated"
-            )
-        self._rows[eidx] &= ~(1 << slot)
-        self._rows[slot] = 0
-        self._release(photon)
-        self._emit(
-            ReductionOp(ReductionOpType.ABSORB_LEAF, emitter=emitter, photon=photon, tag=tag)
-        )
-
-    def apply_absorb_dangling(self, emitter: int, photon: int, tag: str = "") -> None:
-        if photon not in self._slot_of:
-            raise ValueError(f"photon {photon} is not in the working graph")
-        slot = self._slot_of[photon]
-        eidx = self._eidx(emitter)
-        if self._rows[eidx] != 1 << slot:
-            raise ValueError(
-                f"emitter {emitter} is not dangling on photon {photon}; "
-                "ABSORB_DANGLING precondition violated"
-            )
-        slot_bit = 1 << slot
-        emitter_bit = 1 << eidx
-        inherited = self._rows[slot] & ~emitter_bit
-        self._rows[eidx] = inherited
-        for j in iter_bits(inherited):
-            self._rows[j] = (self._rows[j] & ~slot_bit) | emitter_bit
-        self._rows[slot] = 0
-        self._release(photon)
-        self._emit(
-            ReductionOp(
-                ReductionOpType.ABSORB_DANGLING, emitter=emitter, photon=photon, tag=tag
-            )
-        )
-
-    def apply_absorb_twin(self, emitter: int, photon: int, tag: str = "") -> None:
-        if photon not in self._slot_of:
-            raise ValueError(f"photon {photon} is not in the working graph")
-        slot = self._slot_of[photon]
-        eidx = self._eidx(emitter)
-        if (self._rows[slot] >> eidx) & 1:
-            raise ValueError(
-                f"photon {photon} and emitter {emitter} are adjacent; "
-                "ABSORB_TWIN requires non-adjacent twins"
-            )
-        if self._rows[slot] != self._rows[eidx]:
-            raise ValueError(
-                f"photon {photon} and emitter {emitter} are not twins; "
-                "ABSORB_TWIN precondition violated"
-            )
-        slot_bit = 1 << slot
-        for j in iter_bits(self._rows[slot]):
-            self._rows[j] &= ~slot_bit
-        self._rows[slot] = 0
-        self._release(photon)
-        self._emit(
-            ReductionOp(ReductionOpType.ABSORB_TWIN, emitter=emitter, photon=photon, tag=tag)
-        )
-
-    def apply_disconnect(self, emitter_a: int, emitter_b: int, tag: str = "") -> None:
-        idx_a, idx_b = self._eidx(emitter_a), self._eidx(emitter_b)
-        if not (self._rows[idx_a] >> idx_b) & 1:
-            raise ValueError(
-                f"emitters {emitter_a} and {emitter_b} are not adjacent; nothing to disconnect"
-            )
-        self._rows[idx_a] &= ~(1 << idx_b)
-        self._rows[idx_b] &= ~(1 << idx_a)
-        self._emit(
-            ReductionOp(
-                ReductionOpType.DISCONNECT, emitter=emitter_a, emitter_b=emitter_b, tag=tag
-            )
-        )
-
-    def apply_emit_isolated(self, photon: int, emitter: int | None = None, tag: str = "") -> int:
-        if photon not in self._slot_of:
-            raise ValueError(f"photon {photon} is not in the working graph")
-        if self._rows[self._slot_of[photon]]:
-            raise ValueError(f"photon {photon} is not isolated")
-        if emitter is not None and emitter in self.free_emitters:
-            emitter_id = emitter
-        elif self.free_emitters:
-            emitter_id = min(self.free_emitters)
-        else:
-            # Allocate a pool slot but keep it free: the emitter is only used
-            # as an emission source and never becomes entangled.
-            emitter_id = self.acquire_free_emitter()
-            self.active_emitters.discard(emitter_id)
-            self.free_emitters.add(emitter_id)
-        self._release(photon)
-        self._emit(
-            ReductionOp(
-                ReductionOpType.EMIT_ISOLATED, emitter=emitter_id, photon=photon, tag=tag
-            )
-        )
-        return emitter_id
-
-    def apply_free_emitter(self, emitter: int, tag: str = "") -> None:
-        if emitter not in self.active_emitters:
-            raise ValueError(f"emitter {emitter} is not active")
-        if self._rows[self._eidx(emitter)]:
-            raise ValueError(f"emitter {emitter} is not isolated and cannot be freed")
-        self.active_emitters.discard(emitter)
-        self.free_emitters.add(emitter)
-        self._emit(ReductionOp(ReductionOpType.FREE_EMITTER, emitter=emitter, tag=tag))
-
-    def free_isolated_emitters(self, tag: str = "") -> list[int]:
-        rows = self._rows
-        cap = self._cap
-        freed = [e for e in sorted(self.active_emitters) if not rows[cap + e]]
-        for emitter in freed:
-            self.apply_free_emitter(emitter, tag=tag)
-        return freed
-
-    # ------------------------------------------------------------------ #
-    # Finishing
-    # ------------------------------------------------------------------ #
-
-    def disconnect_all_emitter_edges(self, tag: str = "") -> int:
-        cap = self._cap
-        pairs = [
-            (emitter, emitter + 1 + shifted)
-            for emitter in sorted(self.active_emitters)
-            for shifted in iter_bits(self._rows[cap + emitter] >> (cap + emitter + 1))
-        ]
-        for a, b in pairs:
-            self.apply_disconnect(a, b, tag=tag)
-        return len(pairs)
-
-    def finish(self, tag: str = "") -> None:
-        """Disconnect leftover emitter edges and free every emitter."""
-        if self._slot_of:
-            raise RuntimeError(
-                "cannot finish the streaming reduction: photons remain in the "
-                f"window ({sorted(self._slot_of)[:8]}...)"
-            )
-        self.disconnect_all_emitter_edges(tag=tag)
-        self.free_isolated_emitters(tag=tag)
-        if self.active_emitters:  # pragma: no cover - defensive
-            raise RuntimeError(f"emitters left active after finish: {self.active_emitters}")
+        return photon
 
 
 @dataclass
@@ -547,7 +219,7 @@ def compile_stream(
 
     def reduce_region(vertices) -> None:
         for vertex in reversed(vertices):
-            reduce_photon(state, vertex, strategy, tag)
+            reduce_photon(state, state.photon_of_vertex[vertex], strategy, tag)
             if strategy.free_isolated_eagerly:
                 state.free_isolated_emitters(tag=tag)
 

@@ -24,8 +24,7 @@ Four sections pin the compiler's perf trajectory:
   compiles recording elapsed time and deadline misses;
 * **arena kernels** — arena-vs-packed medians for the bulk GF(2)
   elimination kernels across matrix widths, with the measured crossover
-  size (the figure the auto-selection threshold tracks) and a
-  reduction/circuit comparison asserted bit-identical;
+  size (the figure the auto-selection threshold tracks);
 * **streaming compile** — bounded-window partition-compiles of >= 1e5-vertex
   lattice/GHZ families under ``tracemalloc``, with a sublinear-peak-memory
   guard and (at small sizes) bit-identity against the whole-graph oracle.
@@ -111,11 +110,6 @@ PORTFOLIO_BENCH_FAMILIES = ("regular", "smallworld", "ghz")
 #: straddles :data:`repro.utils.backend.DEFAULT_ARENA_THRESHOLD` so the
 #: measured crossover lands inside it.
 DEFAULT_ARENA_SIZES = (64, 128, 256, 512, 1024)
-
-#: Vertex count of the arena-vs-packed reduction/circuit comparison (one
-#: size: the point of the entry is bit-identity plus a representative pair
-#: of medians, not a second sweep).
-DEFAULT_ARENA_REDUCE_SIZE = 256
 
 #: Default vertex counts for the streaming-compile section.  The top size is
 #: the paper-scale >= 1e5-vertex point the tentpole targets; the 4x size
@@ -534,34 +528,23 @@ def run_arena_bench(
     sizes: Sequence[int] = DEFAULT_ARENA_SIZES,
     repeats: int = 3,
     seed: int = 2025,
-    reduce_size: int = DEFAULT_ARENA_REDUCE_SIZE,
 ) -> dict:
     """Arena-vs-packed GF(2) kernel medians and the measured crossover.
 
-    Two sub-sections:
-
-    * **kernel sweep** — square random matrices of every width in ``sizes``
-      pushed through both implementations of the bulk Gauss–Jordan kernels
-      (``rref``; ``rank`` is reported alongside as the roughly-at-parity
-      comparator), results asserted bit-identical, medians recorded.  The
-      ``crossover_size`` is the smallest swept width where the arena rref
-      beats packed — the figure
-      :data:`repro.utils.backend.DEFAULT_ARENA_THRESHOLD` tracks.
-    * **reduction comparison** — one ``greedy_reduce`` plus one
-      :class:`~repro.graphs.incremental.CutRankEngine` sweep at
-      ``reduce_size`` vertices on each backend, with the operation sequences,
-      the forward **circuits** and the height profiles asserted bit-identical
-      before timing.  (Single-row online updates have nothing to batch, so
-      packed is expected to lead here — the point of recording both is to
-      keep the auto-selection boundary honest.)
+    Square random matrices of every width in ``sizes`` are pushed through
+    both implementations of the bulk Gauss–Jordan kernels (``rref``;
+    ``rank`` is reported alongside as the roughly-at-parity comparator),
+    results asserted bit-identical, medians recorded.  The
+    ``crossover_size`` is the smallest swept width where the arena rref
+    beats packed — the figure
+    :data:`repro.utils.backend.DEFAULT_ARENA_THRESHOLD` tracks.
 
     Returns
     -------
     dict
-        JSON-serialisable record with ``kernel_results``, ``crossover_size``
-        and the reduction/heights medians.
+        JSON-serialisable record with ``kernel_results`` and
+        ``crossover_size``.
     """
-    from repro.core.strategies import greedy_reduce
     from repro.utils import gf2_arena, gf2_packed
     from repro.utils.backend import DEFAULT_ARENA_THRESHOLD
 
@@ -609,57 +592,11 @@ def run_arena_bench(
             }
         )
 
-    graph = bench_graph(int(reduce_size), seed=seed)
-    packed_seq = greedy_reduce(graph, backend="packed")
-    arena_seq = greedy_reduce(graph, backend="arena")
-    if packed_seq.operations != arena_seq.operations:
-        raise AssertionError(  # pragma: no cover - correctness guard
-            f"arena reduction diverges from packed at size {reduce_size}"
-        )
-    if packed_seq.to_circuit().gates != arena_seq.to_circuit().gates:
-        raise AssertionError(  # pragma: no cover - correctness guard
-            f"arena circuit diverges from packed at size {reduce_size}"
-        )
-    ordering = graph.vertices()
-    packed_heights = CutRankEngine(graph, checkpoint=False, backend="packed").heights(
-        ordering
-    )
-    arena_heights = CutRankEngine(graph, checkpoint=False, backend="arena").heights(
-        ordering
-    )
-    if packed_heights != arena_heights:
-        raise AssertionError(  # pragma: no cover - correctness guard
-            f"arena heights diverge from packed at size {reduce_size}"
-        )
-    reduce_packed_median = _median_seconds(
-        lambda g=graph: greedy_reduce(g, backend="packed"), repeats
-    )
-    reduce_arena_median = _median_seconds(
-        lambda g=graph: greedy_reduce(g, backend="arena"), repeats
-    )
-    heights_packed_median = _median_seconds(
-        lambda g=graph, o=ordering: CutRankEngine(
-            g, checkpoint=False, backend="packed"
-        ).heights(o),
-        repeats,
-    )
-    heights_arena_median = _median_seconds(
-        lambda g=graph, o=ordering: CutRankEngine(
-            g, checkpoint=False, backend="arena"
-        ).heights(o),
-        repeats,
-    )
     return {
         "sizes": [int(s) for s in sizes],
         "kernel_results": kernel_results,
         "crossover_size": crossover,
         "default_threshold": DEFAULT_ARENA_THRESHOLD,
-        "reduce_size": int(reduce_size),
-        "circuits_bit_identical": True,
-        "reduce_packed_median_seconds": reduce_packed_median,
-        "reduce_arena_median_seconds": reduce_arena_median,
-        "heights_packed_median_seconds": heights_packed_median,
-        "heights_arena_median_seconds": heights_arena_median,
     }
 
 

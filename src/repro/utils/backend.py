@@ -14,12 +14,15 @@ on:
   dense backend and several times faster from a few hundred columns on.
 * ``"arena"`` — the array-arena implementation in
   :mod:`repro.utils.gf2_arena`: rows live in a preallocated 2-D ``np.uint64``
-  arena, row updates are vectorised ``np.bitwise_xor`` and rule queries are
-  ``np.bitwise_count`` popcounts.  Bit-exact with both other backends and the
-  fastest at bulk Gauss–Jordan elimination from about a hundred columns on,
-  because the carrier XOR batches across every row in one vectorised call
-  (the ``packed`` default hands those kernels to the arena automatically past
-  :func:`arena_auto_threshold` columns).
+  arena and row updates are vectorised ``np.bitwise_xor``.  Bit-exact with
+  both other backends and the fastest at bulk Gauss–Jordan elimination from
+  about a hundred columns on, because the carrier XOR batches across every
+  row in one vectorised call (the ``packed`` default hands those kernels to
+  the arena automatically past :func:`arena_auto_threshold` columns).  It
+  covers the bulk kernels only (``gf2_rref`` / ``gf2_rank`` / ``gf2_solve``
+  / ``gf2_nullspace`` / ``gf2_matmul``): the single-row online paths (the
+  reduction state, the incremental cut-rank engine, ``cut_rank``) have
+  nothing to batch and run on the packed rows under ``arena`` too.
 
 The process-wide default is ``"packed"`` and can be pinned with the
 ``REPRO_GF2_BACKEND`` environment variable, :func:`set_default_backend`, or
@@ -62,10 +65,8 @@ BACKENDS = (DENSE, PACKED, ARENA)
 #: every row — pulls ahead (measured ~2x at 256 columns, ~4x at 1024).  The
 #: shipped default tracks the measured crossover in ``BENCH_emitters.json``
 #: (``arena_results``) and can be pinned with ``REPRO_GF2_ARENA_THRESHOLD``.
-#: Single-row online updates (the reduction states, the incremental cut-rank
-#: sweep) are *not* auto-upgraded: per-row work has no batching to win on, so
-#: the packed big-int rows stay faster there at every measured size — the
-#: arena variants of those paths run only when pinned explicitly.
+#: Single-row online updates (the reduction state, the incremental cut-rank
+#: sweep) have no batching to win on and always run on packed big-int rows.
 DEFAULT_ARENA_THRESHOLD = 128
 
 

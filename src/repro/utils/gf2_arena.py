@@ -42,8 +42,6 @@ __all__ = [
     "arena_gf2_nullspace",
     "arena_gf2_solve",
     "arena_gf2_matmul",
-    "bits_of_words",
-    "highest_bit_of_words",
     "rank_of_word_rows",
     "zeros_arena",
 ]
@@ -54,21 +52,6 @@ _WORD_BITS = 64
 def zeros_arena(num_rows: int, num_cols: int) -> np.ndarray:
     """Preallocate an all-zero ``(num_rows, words_per_row(num_cols))`` arena."""
     return np.zeros((int(num_rows), words_per_row(num_cols)), dtype=np.uint64)
-
-
-def bits_of_words(words: np.ndarray) -> np.ndarray:
-    """Ascending set-bit indices of a packed row (1-D word array)."""
-    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.nonzero(np.unpackbits(as_bytes, bitorder="little"))[0]
-
-
-def highest_bit_of_words(words: np.ndarray) -> int:
-    """Index of the highest set bit of a packed row, or ``-1`` if zero."""
-    nonzero = np.nonzero(words)[0]
-    if nonzero.size == 0:
-        return -1
-    word = int(nonzero[-1])
-    return word * _WORD_BITS + int(words[word]).bit_length() - 1
 
 
 def _word_bit(col: int) -> tuple[int, np.uint64]:

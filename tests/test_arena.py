@@ -1,19 +1,21 @@
 """Tests for the arena GF(2) backend (word arenas + bulk kernels).
 
-Three layers of bit-identity guarantees:
+The arena backend covers the bulk GF(2) kernels only.  Guarantees:
 
 * kernel level — ``arena_gf2_*`` agree with the packed big-int kernels and
   the dense uint8 oracle on every input, including widths that cross the
   64-bit word boundary;
-* reduction level — ``greedy_reduce`` on the arena backend produces the
-  exact same operation sequence (and forward circuit) as packed and dense;
-* engine level — ``CutRankEngine`` heights match across all three backends
-  on the full scenario zoo.
+* reduction level — ``greedy_reduce`` produces the exact same operation
+  sequence (and forward circuit) on the packed rows as on the dense oracle,
+  across the scenario zoo and past the 64-vertex word boundary;
+* engine level — ``CutRankEngine`` heights (what ``height_function``
+  evaluates on the packed and arena backends) match the dense per-prefix
+  oracle on the same graphs.
 
 Plus the auto-selection contract: the bulk elimination kernels
 (``gf2_rref``/``gf2_solve``/``gf2_nullspace``) upgrade packed to arena at
-the measured column crossover, while per-row online consumers
-(``make_reduction_state``, ``CutRankEngine``) never auto-upgrade.
+the measured column crossover, while the reduction state stays packed on
+the ``arena`` backend.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.arena_reduction import ArenaReductionState
 from repro.core.packed_reduction import (
     PackedReductionState,
     make_reduction_state,
@@ -40,6 +41,7 @@ from repro.graphs.generators import (
     steane_code_graph,
     watts_strogatz_graph,
 )
+from repro.graphs.entanglement import height_function
 from repro.graphs.incremental import CutRankEngine
 from repro.utils.backend import ARENA, PACKED, arena_auto_threshold, use_backend
 from repro.utils.gf2 import (
@@ -182,76 +184,62 @@ class TestAutoSelection:
         assert list(routed_p) == list(plain_p)
 
     def test_make_reduction_state_does_not_auto_upgrade(self):
-        # Per-row online updates are faster packed; arena is explicit-only.
+        # Per-row online updates have nothing to batch: the arena backend
+        # reduces on the packed rows.
         graph = ghz_graph(16)
         state = make_reduction_state(graph, backend="packed")
         assert isinstance(state, PackedReductionState)
         arena = make_reduction_state(graph, backend="arena")
-        assert isinstance(arena, ArenaReductionState)
+        assert type(arena) is PackedReductionState
+        with use_backend("arena"):
+            assert type(make_reduction_state(graph)) is PackedReductionState
         dense = make_reduction_state(graph, backend="dense")
         assert isinstance(dense, ReductionState)
-        assert not isinstance(dense, (PackedReductionState, ArenaReductionState))
+        assert not isinstance(dense, PackedReductionState)
 
 
 class TestReductionBitIdentity:
-    """greedy_reduce is bit-identical on all three backends."""
+    """greedy_reduce on the packed rows is bit-identical to the dense oracle."""
 
     @pytest.mark.parametrize("family", sorted(ZOO_GRAPHS))
     def test_operations_and_circuits_identical(self, family):
         graph = ZOO_GRAPHS[family]()
-        ref = greedy_reduce(graph, backend="packed")
-        for backend in ("dense", "arena"):
-            got = greedy_reduce(graph, backend=backend)
-            assert got.operations == ref.operations, (family, backend)
-            assert got.num_emitters == ref.num_emitters, (family, backend)
-            assert got.to_circuit().gates == ref.to_circuit().gates, (
-                family,
-                backend,
-            )
+        ref = greedy_reduce(graph, backend="dense")
+        got = greedy_reduce(graph, backend="packed")
+        assert got.operations == ref.operations, family
+        assert got.num_emitters == ref.num_emitters, family
+        assert got.to_circuit().gates == ref.to_circuit().gates, family
 
-    def test_arena_via_process_default(self):
-        graph = percolated_lattice(4, 5, seed=3)
-        ref = greedy_reduce(graph, backend="packed")
-        with use_backend("arena"):
-            got = greedy_reduce(graph)
-        assert got.operations == ref.operations
-
-    def test_arena_beyond_word_boundary(self):
-        """A >64-vertex graph exercises multi-word arena rows end to end."""
+    def test_packed_beyond_word_boundary(self):
+        """A >64-vertex graph exercises multi-word packed rows end to end."""
         graph = erdos_renyi_graph(70, seed=9)
-        ref = greedy_reduce(graph, backend="packed")
-        got = greedy_reduce(graph, backend="arena")
+        ref = greedy_reduce(graph, backend="dense")
+        got = greedy_reduce(graph, backend="packed")
         assert got.operations == ref.operations
         assert got.num_emitters == ref.num_emitters
 
 
 class TestCutRankEngineBackends:
-    """CutRankEngine heights match across backends on the scenario zoo."""
+    """Height functions match the dense per-prefix oracle on every backend.
+
+    ``packed`` and ``arena`` both evaluate through one ``CutRankEngine``
+    sweep over the packed rows; ``dense`` ranks every prefix from scratch.
+    """
 
     @pytest.mark.parametrize("family", sorted(ZOO_GRAPHS))
     def test_heights_identical(self, family):
         graph = ZOO_GRAPHS[family]()
         ordering = list(graph.vertices())
         heights = {
-            backend: CutRankEngine(graph, backend=backend).heights(ordering)
+            backend: height_function(graph, ordering, backend=backend)
             for backend in BACKEND_TRIPLE
         }
         assert heights["arena"] == heights["packed"] == heights["dense"], family
-
-    def test_truncate_and_reevaluate_arena(self):
-        graph = watts_strogatz_graph(12, k=4, seed=2)
-        ordering = list(graph.vertices())
-        packed = CutRankEngine(graph, backend="packed")
-        arena = CutRankEngine(graph, backend="arena")
-        assert arena.heights(ordering) == packed.heights(ordering)
-        # Mutate a suffix: both engines re-evaluate from the checkpoint.
-        flipped = ordering[:5] + list(reversed(ordering[5:]))
-        assert arena.heights(flipped) == packed.heights(flipped)
+        assert CutRankEngine(graph).heights(ordering) == heights["dense"], family
 
     def test_engine_beyond_word_boundary(self):
         graph = erdos_renyi_graph(70, seed=4)
         ordering = list(graph.vertices())
-        assert (
-            CutRankEngine(graph, backend="arena").heights(ordering)
-            == CutRankEngine(graph, backend="packed").heights(ordering)
+        assert CutRankEngine(graph).heights(ordering) == height_function(
+            graph, ordering, backend="dense"
         )
