@@ -25,9 +25,10 @@ It then shows the two scaling features behind every sweep in this repo:
 
   (run it twice: the second invocation reports 100% cache hits);
 
-* the **compilation service** — a long-running HTTP server that micro-batches
-  concurrent requests onto the same pipeline and serves repeats from a
-  persistent disk cache::
+* the **compilation service** — a long-running HTTP server whose
+  cache-first, single-flight request path answers repeats straight from a
+  persistent disk cache and compiles each distinct new request once on the
+  same pipeline::
 
       repro serve --port 8765 --cache-dir .repro-service-cache
       repro loadgen --url http://127.0.0.1:8765 --families lattice --sizes 10

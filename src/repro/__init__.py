@@ -49,8 +49,8 @@ or, from the shell (the figure sweeps use the same machinery)::
         --workers 4 --cache-dir .repro-cache
 
 Long-running traffic goes through the compilation service — an HTTP server
-(:mod:`repro.service`) that micro-batches concurrent requests onto the same
-pipeline and serves repeats from a persistent disk cache::
+(:mod:`repro.service`) that serves repeats from a persistent disk cache and
+runs each distinct uncached request once on the same pipeline::
 
     repro serve --port 8765 --cache-dir .repro-service-cache   # terminal 1
     repro loadgen --url http://127.0.0.1:8765 \\
@@ -74,7 +74,7 @@ Public API highlights:
 * :mod:`repro.pipeline` — the batch-compilation pipeline (jobs, process-pool
   runner, content-hash cache) behind the sweeps and ``repro batch``.
 * :mod:`repro.service` — the compilation server (``repro serve``), its
-  micro-batcher, HTTP client and load generator (``repro loadgen``).
+  cache-first request path, HTTP client and load generator (``repro loadgen``).
 * :mod:`repro.utils.backend` / :mod:`repro.utils.gf2_packed` /
   :mod:`repro.utils.gf2_arena` — the GF(2) backend switch, the word-packed
   kernels and the vectorised arena kernels.

@@ -9,8 +9,11 @@ Two qubit species exist (paper §II.B):
   the first gate acting on a photon must be the emission, after which only
   single-qubit gates (and terminal measurements, not used here) are allowed.
 
-Gates are immutable records; a circuit is a list of gates (see
-:mod:`repro.circuit.circuit`).
+Gates are immutable slotted records; a circuit is a list of gates (see
+:mod:`repro.circuit.circuit`).  :func:`emitter` and :func:`photon` hand out
+shared :class:`Qubit` instances for small indices, so the gates of the many
+circuits a long-running process keeps cached do not each carry their own
+operand objects.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "Qubit",
     "emitter",
     "photon",
+    "SHARED_QUBIT_INDICES",
     "GateName",
     "Gate",
     "SINGLE_QUBIT_GATES",
@@ -40,7 +44,7 @@ class QubitKind(str, enum.Enum):
     PHOTON = "photon"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Qubit:
     """A qubit identified by its species and an index within that species."""
 
@@ -64,13 +68,26 @@ class Qubit:
         return f"{prefix}{self.index}"
 
 
+#: Indices below this get one shared :class:`Qubit` per species from
+#: :func:`emitter` / :func:`photon`; larger ones (very long streams) are
+#: built per call, so the table stays bounded.
+SHARED_QUBIT_INDICES = 1024
+
+_EMITTERS = tuple(Qubit(QubitKind.EMITTER, i) for i in range(SHARED_QUBIT_INDICES))
+_PHOTONS = tuple(Qubit(QubitKind.PHOTON, i) for i in range(SHARED_QUBIT_INDICES))
+
+
 def emitter(index: int) -> Qubit:
-    """Shorthand constructor for an emitter qubit."""
+    """The emitter qubit ``index`` (a shared instance for small indices)."""
+    if 0 <= index < SHARED_QUBIT_INDICES:
+        return _EMITTERS[index]
     return Qubit(QubitKind.EMITTER, index)
 
 
 def photon(index: int) -> Qubit:
-    """Shorthand constructor for a photon qubit."""
+    """The photon qubit ``index`` (a shared instance for small indices)."""
+    if 0 <= index < SHARED_QUBIT_INDICES:
+        return _PHOTONS[index]
     return Qubit(QubitKind.PHOTON, index)
 
 
@@ -122,7 +139,7 @@ INVERSE_GATE: dict[GateName, GateName] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """A single circuit operation.
 

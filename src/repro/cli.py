@@ -9,9 +9,10 @@ Six subcommands cover the common workflows:
 * ``repro batch`` — run a whole sweep of compilation jobs through the batch
   pipeline, optionally across processes and with content-hash result caching;
 * ``repro serve`` — run the long-running compilation server (HTTP + JSON,
-  micro-batching, persistent result cache); ``--workers N > 1`` runs the
-  supervised multi-process fleet (content-hash routing, heartbeat restarts,
-  ``GET /metrics``, journaled requests, SIGTERM graceful drain);
+  cache-first single-flight requests, persistent result cache);
+  ``--workers N > 1`` runs the supervised multi-process fleet (content-hash
+  routing, heartbeat restarts, ``GET /metrics``, journaled requests, SIGTERM
+  graceful drain);
 * ``repro loadgen`` — drive a server closed-loop and report throughput,
   latency percentiles and the cache-hit rate; ``--kill-worker-after K``
   SIGKILLs one fleet worker mid-load (the fault-injection CI gate);
@@ -320,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--pool-workers",
         type=int,
         default=1,
-        help="process-pool width inside each worker's micro-batch; "
-        "1 compiles in-process",
+        help="process-pool width for the compiles each server (or fleet "
+        "worker) runs at once; 1 compiles in-process",
     )
     serve_parser.add_argument(
         "--journal",
@@ -341,18 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=60.0,
         help="maximum seconds a SIGTERM graceful drain waits for in-flight "
         "requests before exiting anyway",
-    )
-    serve_parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=20.0,
-        help="how long to collect concurrent requests into one micro-batch",
-    )
-    serve_parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        help="maximum requests per micro-batch",
     )
     serve_parser.add_argument(
         "--subgraph-cache-dir",
@@ -913,8 +902,6 @@ def _run_serve_single(args: argparse.Namespace) -> int:
     service = CompileService(
         cache_dir=args.cache_dir,
         max_workers=args.pool_workers,
-        batch_window_seconds=args.batch_window_ms / 1000.0,
-        max_batch=args.max_batch,
         subgraph_cache_dir=args.subgraph_cache_dir,
         compile_timeout_s=args.compile_timeout_s,
     )
@@ -969,7 +956,6 @@ def _run_serve_fleet(args: argparse.Namespace) -> int:
         subgraph_cache_dir=args.subgraph_cache_dir,
         journal_path=args.journal or None,
         pool_workers=args.pool_workers,
-        batch_window_ms=args.batch_window_ms,
         heartbeat_seconds=args.heartbeat_seconds,
         max_job_attempts=args.max_job_attempts,
         compile_timeout_s=args.compile_timeout_s,
@@ -1019,7 +1005,6 @@ def _run_serve_standby(args: argparse.Namespace) -> int:
             "cache_dir": args.cache_dir,
             "subgraph_cache_dir": args.subgraph_cache_dir,
             "pool_workers": args.pool_workers,
-            "batch_window_ms": args.batch_window_ms,
             "heartbeat_seconds": args.heartbeat_seconds,
             "max_job_attempts": args.max_job_attempts,
             "compile_timeout_s": args.compile_timeout_s,

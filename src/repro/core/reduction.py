@@ -73,7 +73,7 @@ class ReductionOpType(str, enum.Enum):
     FREE_EMITTER = "free_emitter"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionOp:
     """One reversed operation.
 

@@ -1,7 +1,7 @@
 """Content-addressed JSON result cache for batch jobs.
 
 Each cached entry is one JSON file named after the job's SHA-256 content
-hash.  The cache is deliberately dumb — no locking, no eviction — because
+hash.  The cache is deliberately dumb — no file locking, no eviction — because
 entries are immutable (a key never maps to two different results, by
 construction of the content hash) and writes are atomic (``os.replace`` of a
 temp file), so concurrent workers can only ever race to write identical
@@ -179,6 +179,9 @@ class ResultCache:
         self.misses = 0
         self.corrupt_entries = 0
         self.disk_errors = 0
+        # Lookups run on many request threads at once (the service reads
+        # the cache before queueing anything).
+        self._counts_lock = threading.Lock()
         self.breaker = DiskCircuitBreaker(
             threshold=breaker_threshold, cooldown_seconds=breaker_cooldown_seconds
         )
@@ -197,28 +200,29 @@ class ResultCache:
         ``<cache>/corrupt/`` with a structured log event — it will never
         be served, and never silently miss again.
         """
+        result = self._read(key)
+        with self._counts_lock:
+            if result is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return result
+
+    def _read(self, key: str) -> dict | None:
         path = self._path(key)
         if not self.breaker.allow():
-            self.misses += 1
             return None
         try:
             raw = path.read_bytes()
             raw = _FAULT_READ.hit(context=key, data=raw)
         except FileNotFoundError:
             # A missing file is a miss, not a disk failure.
-            self.misses += 1
             return None
         except OSError as exc:
             self._record_disk_error("read", key, exc)
-            self.misses += 1
             return None
         self.breaker.record_success()
-        result = self._validate(key, path, raw)
-        if result is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return self._validate(key, path, raw)
 
     def _validate(self, key: str, path: Path, raw: bytes) -> dict | None:
         """Parse and checksum-verify an entry; quarantine it on failure."""
@@ -239,7 +243,8 @@ class ResultCache:
         return None
 
     def _quarantine(self, path: Path, key: str, reason: str) -> None:
-        self.corrupt_entries += 1
+        with self._counts_lock:
+            self.corrupt_entries += 1
         destination = self.cache_dir / self.CORRUPT_DIR / path.name
         try:
             destination.parent.mkdir(parents=True, exist_ok=True)
@@ -296,7 +301,8 @@ class ResultCache:
         self.breaker.record_success()
 
     def _record_disk_error(self, op: str, key: str, exc: OSError) -> None:
-        self.disk_errors += 1
+        with self._counts_lock:
+            self.disk_errors += 1
         self.breaker.record_failure()
         _log_event(
             "cache_disk_error",

@@ -37,8 +37,9 @@ class JobOutcome:
     """What happened to one job of a batch.
 
     ``cache_hit`` means the result came from the persistent cache;
-    ``coalesced`` means the job was an in-batch duplicate answered by
-    another job's fresh execution.  Both flavours cost no compilation, but
+    ``coalesced`` means the job was answered by another job's fresh
+    execution: an in-batch duplicate, or a service request identical to one
+    already in flight.  Both flavours cost no compilation, but
     only ``cache_hit`` implies a configured cache.  ``error_kind``
     classifies machine-readable failures (currently only ``"timeout"``,
     set by the service watchdog) so transports can map them to statuses.
@@ -133,7 +134,7 @@ class BatchRunner:
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         # The process pool is created on first parallel use and reused across
         # run() calls: long-running callers (the compilation service) would
-        # otherwise pay a full executor spawn per micro-batch.  The lock
+        # otherwise pay a full executor spawn per compile.  The lock
         # serialises create/discard against concurrent run() callers (the
         # service drives one runner from two threads).
         self._pool: ProcessPoolExecutor | None = None
@@ -167,9 +168,9 @@ class BatchRunner:
         Identical jobs within one batch (same content hash) are coalesced:
         the job is executed once and every duplicate shares the outcome with
         its ``coalesced`` flag set (``cache_hit`` stays reserved for the
-        persistent cache).  This is what makes micro-batched concurrent
-        requests for the same graph — the service's hottest pattern — cost a
-        single compilation even on a cold cache.
+        persistent cache).  ``POST /compile`` never queues two identical
+        jobs at once (its request path coalesces them before they reach the
+        runner), so this serves sweeps: ``repro batch`` and ``POST /batch``.
         """
         started = time.perf_counter()
         outcomes: list[JobOutcome | None] = [None] * len(jobs)

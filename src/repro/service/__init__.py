@@ -3,13 +3,14 @@
 This subsystem turns the batch pipeline (:mod:`repro.pipeline`) into a
 long-running server for interactive and high-volume traffic:
 
-* :mod:`repro.service.server` — :class:`CompileService` (micro-batched
-  execution, async batches, counters) and :class:`CompileServer` (stdlib
+* :mod:`repro.service.server` — :class:`CompileService` (the ``/compile``
+  request path, async batches, counters) and :class:`CompileServer` (stdlib
   ``ThreadingHTTPServer`` exposing ``/compile``, ``/batch``,
   ``/status/<job>`` and ``/healthz`` with JSON bodies);
-* :mod:`repro.service.batcher` — the :class:`MicroBatcher` that coalesces
-  concurrent requests into single :class:`repro.pipeline.runner.BatchRunner`
-  batches;
+* :mod:`repro.service.batcher` — :class:`MicroBatcher`, the cache-first,
+  single-flight request path: cache hits return on the request thread and
+  identical in-flight requests share one
+  :class:`repro.pipeline.runner.BatchRunner` compile;
 * :mod:`repro.service.client` — :class:`ServiceClient`, a dependency-free
   ``urllib`` client used by tests and the load generator;
 * :mod:`repro.service.loadgen` — the closed-loop load generator behind

@@ -1,25 +1,26 @@
-"""Micro-batching of concurrent compile requests onto the batch pipeline.
+"""The ``/compile`` request path: cache first, then single-flight compiles.
 
 The HTTP server handles every request on its own thread
-(:class:`http.server.ThreadingHTTPServer`), but compilations are cheapest
-when they travel together: one :meth:`repro.pipeline.runner.BatchRunner.run`
-call amortises cache lookups and process-pool dispatch over the whole batch.
-:class:`MicroBatcher` is the funnel between the two worlds — request threads
-:meth:`~MicroBatcher.submit` a job and block; a single dispatcher thread
-drains the queue, waits a short *batching window* for stragglers, executes
-the collected jobs as one batch and wakes every submitter with its own
-:class:`repro.pipeline.runner.JobOutcome`.
+(:class:`http.server.ThreadingHTTPServer`).  :meth:`MicroBatcher.submit`
+answers a request in one of three ways, none of which waits for a batching
+window:
 
-The first request of a quiet period pays at most ``window_seconds`` of extra
-latency; under load the window is always full and the batcher converges to
-back-to-back batches of up to ``max_batch`` jobs.
+* **cache hit** — the runner's :class:`repro.pipeline.cache.ResultCache` is
+  read on the request thread and a stored result returns at once;
+* **leader** — the first request for a content hash that is not already
+  being compiled is queued for the single compile thread;
+* **follower** — a request identical to one already in flight waits on the
+  leader's event and returns its outcome with ``coalesced=True``.
+
+The compile thread takes everything queued so far (no waiting for
+stragglers), executes it as one :meth:`repro.pipeline.runner.BatchRunner.run`
+call — which keeps process-pool dispatch when the runner has more than one
+worker — and then wakes each leader together with its followers.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-import time
 from dataclasses import dataclass, field
 
 from repro.pipeline.jobs import BatchJob
@@ -30,25 +31,30 @@ __all__ = ["BatcherStats", "MicroBatcher"]
 
 @dataclass
 class BatcherStats:
-    """Counters describing the batching behaviour so far."""
+    """Counters of the request path so far (updated under the batcher lock)."""
 
     requests: int = 0
+    cache_hits: int = 0
+    coalesced: int = 0
     batches: int = 0
+    batched_jobs: int = 0
     largest_batch: int = 0
 
     def as_dict(self) -> dict:
         """JSON-serialisable snapshot (served by ``/healthz``)."""
         return {
             "requests": self.requests,
+            "cache_hits": self.cache_hits,
+            "coalesced": self.coalesced,
             "batches": self.batches,
             "largest_batch": self.largest_batch,
-            "mean_batch_size": self.requests / self.batches if self.batches else 0.0,
+            "mean_batch_size": self.batched_jobs / self.batches if self.batches else 0.0,
         }
 
 
 @dataclass
 class _Pending:
-    """One submitted job waiting for its outcome."""
+    """One job being compiled, shared by its leader and any followers."""
 
     job: BatchJob
     done: threading.Event = field(default_factory=threading.Event)
@@ -56,40 +62,24 @@ class _Pending:
 
 
 class MicroBatcher:
-    """Collect concurrent jobs into batches and run them on a shared runner.
+    """Answer jobs from the cache, or compile each distinct job once.
 
     Parameters
     ----------
     runner : BatchRunner
-        Executes each collected batch (and owns the result cache, so cached
-        jobs are answered without compiling).
-    window_seconds : float, optional
-        How long the dispatcher keeps collecting after the first job of a
-        batch arrives.
-    max_batch : int, optional
-        Upper bound on jobs per batch; a full batch dispatches immediately.
+        Executes the queued jobs; its ``cache`` (``None`` when caching is
+        off) is read on the request thread before anything is queued.
     """
 
-    def __init__(
-        self,
-        runner: BatchRunner,
-        window_seconds: float = 0.02,
-        max_batch: int = 32,
-    ):
-        if window_seconds < 0:
-            raise ValueError(f"window_seconds must be >= 0, got {window_seconds}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+    def __init__(self, runner: BatchRunner):
         self.runner = runner
-        self.window_seconds = float(window_seconds)
-        self.max_batch = int(max_batch)
         self.stats = BatcherStats()
-        self._queue: queue.Queue[_Pending | None] = queue.Queue()
-        self._closed = threading.Event()
-        # Serialises the closed-check-then-enqueue of submit() against
-        # close(), so no submission can slip into the queue after the final
-        # drain (which would leave its thread waiting forever).
-        self._submit_lock = threading.Lock()
+        # Guards the queue, the in-flight map, the closed flag and stats.
+        self._lock = threading.Lock()
+        self._wake = threading.Condition(self._lock)
+        self._queue: list[_Pending] = []
+        self._inflight: dict[str, _Pending] = {}
+        self._closed = False
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="repro-microbatcher", daemon=True
         )
@@ -98,7 +88,7 @@ class MicroBatcher:
     # ------------------------------------------------------------------ #
 
     def submit(self, job: BatchJob, timeout_seconds: float | None = None) -> JobOutcome:
-        """Enqueue ``job`` and block until its batch has been executed.
+        """Answer ``job`` from the cache, or block until it has been compiled.
 
         Parameters
         ----------
@@ -108,9 +98,9 @@ class MicroBatcher:
             Per-request watchdog bound: when the outcome is not available
             within this many wall-clock seconds, return a structured
             timeout outcome (``error_kind="timeout"``) instead of blocking
-            forever.  The underlying batch keeps running to completion —
-            Python threads cannot be interrupted — but the caller's thread
-            (and its HTTP connection) is released immediately.
+            forever.  The compile keeps running to completion — Python
+            threads cannot be interrupted — but the caller's thread (and
+            its HTTP connection) is released immediately.
 
         Returns
         -------
@@ -118,11 +108,24 @@ class MicroBatcher:
             The job's outcome; failures are captured in ``outcome.error``
             rather than raised (matching the pipeline's semantics).
         """
-        pending = _Pending(job=job)
-        with self._submit_lock:
-            if self._closed.is_set():
+        key = job.content_hash
+        cache = self.runner.cache
+        cached = cache.get(key) if cache is not None else None
+        with self._lock:
+            if self._closed:
                 raise RuntimeError("MicroBatcher is closed")
-            self._queue.put(pending)
+            self.stats.requests += 1
+            if cached is not None:
+                self.stats.cache_hits += 1
+                return JobOutcome(job=job, result=cached, cache_hit=True)
+            pending = self._inflight.get(key)
+            leader = pending is None
+            if leader:
+                pending = self._inflight[key] = _Pending(job=job)
+                self._queue.append(pending)
+                self._wake.notify()
+            else:
+                self.stats.coalesced += 1
         if not pending.done.wait(timeout=timeout_seconds):
             return JobOutcome(
                 job=job,
@@ -134,74 +137,65 @@ class MicroBatcher:
                 error_kind="timeout",
                 elapsed_seconds=float(timeout_seconds),
             )
-        assert pending.outcome is not None
-        return pending.outcome
+        outcome = pending.outcome
+        assert outcome is not None
+        if leader:
+            return outcome
+        return JobOutcome(
+            job=job,
+            result=outcome.result,
+            error=outcome.error,
+            error_kind=outcome.error_kind,
+            coalesced=outcome.error is None,
+        )
+
+    def stats_snapshot(self) -> dict:
+        """A consistent copy of :attr:`stats` (served by ``/healthz``)."""
+        with self._lock:
+            return self.stats.as_dict()
 
     def close(self, timeout: float = 5.0) -> None:
-        """Stop the dispatcher thread; pending jobs are failed, not run."""
-        with self._submit_lock:
-            if self._closed.is_set():
+        """Stop the compile thread; jobs still queued are failed, not run."""
+        with self._lock:
+            if self._closed:
                 return
-            self._closed.set()
-        self._queue.put(None)  # wake the dispatcher
+            self._closed = True
+            self._wake.notify()
         self._thread.join(timeout=timeout)
-        self._drain_cancelled()
+        with self._lock:
+            cancelled, self._queue = self._queue, []
+        self._finish(
+            cancelled,
+            [JobOutcome(job=p.job, result=None, error="service shut down") for p in cancelled],
+        )
 
     # ------------------------------------------------------------------ #
 
-    def _collect(self) -> list[_Pending]:
-        """Block for the next job, then gather stragglers within the window."""
-        first = self._queue.get()
-        if first is None:
-            return []
-        batch = [first]
-        deadline = time.monotonic() + self.window_seconds
-        while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                item = self._queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if item is None:
-                break
-            batch.append(item)
-        return batch
-
     def _dispatch_loop(self) -> None:
-        while not self._closed.is_set():
-            batch = self._collect()
-            if not batch:
-                continue
-            self.stats.requests += len(batch)
-            self.stats.batches += 1
-            self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
+        while True:
+            with self._lock:
+                while not self._queue and not self._closed:
+                    self._wake.wait()
+                if self._closed:
+                    return
+                batch, self._queue = self._queue, []
+                self.stats.batches += 1
+                self.stats.batched_jobs += len(batch)
+                self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
             try:
-                report = self.runner.run([pending.job for pending in batch])
-                outcomes = report.outcomes
+                outcomes = self.runner.run([pending.job for pending in batch]).outcomes
             except Exception as exc:  # noqa: BLE001 - fail the batch, not the server
+                error = f"{type(exc).__name__}: {exc}"
                 outcomes = [
-                    JobOutcome(
-                        job=pending.job,
-                        result=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                    JobOutcome(job=pending.job, result=None, error=error)
                     for pending in batch
                 ]
+            self._finish(batch, outcomes)
+
+    def _finish(self, batch: list[_Pending], outcomes: list[JobOutcome]) -> None:
+        """Publish outcomes, retire the in-flight entries, wake the waiters."""
+        with self._lock:
             for pending, outcome in zip(batch, outcomes):
                 pending.outcome = outcome
+                del self._inflight[pending.job.content_hash]
                 pending.done.set()
-
-    def _drain_cancelled(self) -> None:
-        """Fail anything still queued after :meth:`close`."""
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is not None:
-                item.outcome = JobOutcome(
-                    job=item.job, result=None, error="service shut down"
-                )
-                item.done.set()

@@ -316,8 +316,6 @@ class FleetSupervisor:
         replay).
     pool_workers : int, optional
         Per-worker process-pool width (``repro serve --pool-workers``).
-    batch_window_ms : float, optional
-        Micro-batching window forwarded to every worker.
     heartbeat_seconds : float, optional
         Supervision loop period.
     heartbeat_misses : int, optional
@@ -381,7 +379,6 @@ class FleetSupervisor:
         subgraph_cache_dir: str | None = None,
         journal_path: str | None = None,
         pool_workers: int = 1,
-        batch_window_ms: float = 20.0,
         heartbeat_seconds: float = 0.5,
         heartbeat_misses: int = 3,
         restart_backoff_seconds: float = 0.25,
@@ -417,7 +414,6 @@ class FleetSupervisor:
         self.cache_dir = cache_dir
         self.subgraph_cache_dir = subgraph_cache_dir
         self.pool_workers = int(pool_workers)
-        self.batch_window_ms = float(batch_window_ms)
         self.heartbeat_seconds = float(heartbeat_seconds)
         self.heartbeat_misses = int(heartbeat_misses)
         self.restart_backoff_seconds = float(restart_backoff_seconds)
@@ -517,8 +513,6 @@ class FleetSupervisor:
             "1",
             "--pool-workers",
             str(self.pool_workers),
-            "--batch-window-ms",
-            str(self.batch_window_ms),
         ]
         if self.cache_dir:
             command += ["--cache-dir", str(self.cache_dir)]

@@ -2,9 +2,10 @@
 
 A :class:`CompileService` wraps the batch pipeline for interactive traffic:
 
-* synchronous single compilations go through a
-  :class:`repro.service.batcher.MicroBatcher`, so concurrent requests are
-  executed together on one :class:`repro.pipeline.runner.BatchRunner`;
+* synchronous single compilations go through the cache-first,
+  single-flight request path of :class:`repro.service.batcher.MicroBatcher`:
+  cache hits are answered on the request thread, and identical requests in
+  flight share one compilation on the :class:`repro.pipeline.runner.BatchRunner`;
 * whole sweeps are submitted asynchronously and polled by job id;
 * a persistent disk :class:`repro.pipeline.cache.ResultCache` (pass
   ``cache_dir``) answers repeated traffic without recompiling.
@@ -18,7 +19,7 @@ method  path                behaviour
 POST    ``/compile``        run one job, respond with its result record
 POST    ``/batch``          submit a list of jobs, respond with a job id
 GET     ``/status/<job>``   progress/results of a submitted batch
-GET     ``/healthz``        liveness, uptime, batching and cache counters
+GET     ``/healthz``        liveness, uptime, request-path and cache counters
 ======  ==================  =================================================
 
 Start one from the shell with ``repro serve`` and point ``repro loadgen`` (or
@@ -130,7 +131,7 @@ class _AsyncBatch:
 
 
 class CompileService:
-    """The server-side state: runner, micro-batcher, async jobs, counters.
+    """The server-side state: runner, request path, async jobs, counters.
 
     Parameters
     ----------
@@ -140,10 +141,6 @@ class CompileService:
     max_workers : int, optional
         Process-pool width of the underlying :class:`BatchRunner`; ``1``
         compiles in-process (the safe default for a threaded server).
-    batch_window_seconds : float, optional
-        Micro-batching window for concurrent ``/compile`` requests.
-    max_batch : int, optional
-        Maximum jobs per micro-batch.
     subgraph_cache_dir : str | None, optional
         Directory for the *persistent tier* of the isomorphism-keyed
         subgraph compile cache (:mod:`repro.core.compile_cache`).  Exported
@@ -179,8 +176,6 @@ class CompileService:
         self,
         cache_dir: str | None = None,
         max_workers: int = 1,
-        batch_window_seconds: float = 0.02,
-        max_batch: int = 32,
         subgraph_cache_dir: str | None = None,
         background_refine: bool = True,
         compile_timeout_s: float | None = None,
@@ -204,9 +199,7 @@ class CompileService:
             os.environ[CACHE_DIR_ENV] = str(subgraph_cache_dir)
             get_process_cache(disk_dir=str(subgraph_cache_dir))
         self.runner = BatchRunner(max_workers=max_workers, cache_dir=cache_dir)
-        self.batcher = MicroBatcher(
-            self.runner, window_seconds=batch_window_seconds, max_batch=max_batch
-        )
+        self.batcher = MicroBatcher(self.runner)
         self.started_at = time.time()
         self.background_refine = bool(background_refine)
         self._batches: dict[str, _AsyncBatch] = {}
@@ -228,7 +221,7 @@ class CompileService:
         self._closed = threading.Event()
         # One worker executes async batches sequentially: concurrent /batch
         # submissions queue up instead of spawning unbounded compile threads
-        # (synchronous /compile traffic keeps its own micro-batcher lane).
+        # (synchronous /compile traffic keeps its own compile thread).
         self._batch_queue: queue.Queue[tuple[_AsyncBatch, list[BatchJob]] | None] = (
             queue.Queue()
         )
@@ -242,7 +235,7 @@ class CompileService:
     # ------------------------------------------------------------------ #
 
     def compile(self, payload: dict) -> dict:
-        """Run one job synchronously (micro-batched) and return its record.
+        """Run one job synchronously (cache first) and return its record.
 
         Parameters
         ----------
@@ -407,7 +400,7 @@ class CompileService:
             return True
 
     def healthz(self) -> dict:
-        """Liveness body: uptime, request, batching and cache counters.
+        """Liveness body: uptime, request, request-path and cache counters.
 
         ``subgraph_cache`` reports *this process's* tier of the
         isomorphism-keyed compile cache; with ``max_workers > 1`` the pool
@@ -451,7 +444,7 @@ class CompileService:
             "uptime_seconds": time.time() - self.started_at,
             "requests_served": requests_served,
             "async_batches": num_batches,
-            "microbatcher": self.batcher.stats.as_dict(),
+            "microbatcher": self.batcher.stats_snapshot(),
             "cache": cache_block,
             "subgraph_cache": {"enabled": subgraph_cache is not None},
             "portfolio": portfolio_block,
@@ -480,7 +473,7 @@ class CompileService:
         return body
 
     def close(self) -> None:
-        """Shut the micro-batcher and the batch worker down (idempotent)."""
+        """Shut the request path and the batch worker down (idempotent)."""
         if self._closed.is_set():
             return
         self._closed.set()
@@ -734,8 +727,6 @@ def start_server(
     port: int = 0,
     cache_dir: str | None = None,
     max_workers: int = 1,
-    batch_window_seconds: float = 0.02,
-    max_batch: int = 32,
     verbose: bool = False,
     subgraph_cache_dir: str | None = None,
     background_refine: bool = True,
@@ -749,8 +740,7 @@ def start_server(
         Bind address; port ``0`` picks a free port.
     cache_dir : str | None
         Persistent result-cache directory (``None`` disables caching).
-    max_workers, batch_window_seconds, max_batch, subgraph_cache_dir,
-    background_refine, compile_timeout_s
+    max_workers, subgraph_cache_dir, background_refine, compile_timeout_s
         Forwarded to :class:`CompileService`.
     verbose : bool
         Log requests to stderr.
@@ -764,8 +754,6 @@ def start_server(
     service = CompileService(
         cache_dir=cache_dir,
         max_workers=max_workers,
-        batch_window_seconds=batch_window_seconds,
-        max_batch=max_batch,
         subgraph_cache_dir=subgraph_cache_dir,
         background_refine=background_refine,
         compile_timeout_s=compile_timeout_s,

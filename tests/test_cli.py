@@ -36,7 +36,10 @@ class TestParser:
         args = build_parser().parse_args(["serve", "--port", "0"])
         assert args.command == "serve"
         assert args.port == 0
-        assert args.batch_window_ms == pytest.approx(20.0)
+        # The request path has no batching window to tune.
+        assert not hasattr(args, "batch_window_ms")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--batch-window-ms", "20"])
 
         args = build_parser().parse_args(
             ["loadgen", "--self-serve", "--requests", "5", "--min-cache-hit-rate", "0.9"]

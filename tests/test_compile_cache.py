@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -104,6 +105,14 @@ class TestCacheContainer:
         assert clone.operations == entry.operations
         assert clone.metrics == entry.metrics  # bit-exact floats via JSON repr
         assert clone.search_max_emitters == entry.search_max_emitters
+        assert clone.circuit().gates == entry.circuit().gates
+
+    def test_entry_survives_a_pickle_round_trip(self):
+        compiler = SubgraphCompiler(small_config())
+        _, entry = make_entry(compiler, waxman_graph(6, seed=3))
+        entry.circuit()  # memoise the circuit so it is pickled too
+        clone = pickle.loads(pickle.dumps(entry))
+        assert clone == entry
         assert clone.circuit().gates == entry.circuit().gates
 
     def test_stale_schema_version_is_rejected(self):

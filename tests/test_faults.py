@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -459,6 +460,8 @@ class TestJournalFaults:
 class _SlowRunner:
     """A stand-in runner whose batches take a fixed wall-clock time."""
 
+    cache = None
+
     def __init__(self, seconds: float):
         self.seconds = seconds
 
@@ -473,7 +476,7 @@ class _SlowRunner:
 
 class TestCompileWatchdog:
     def test_batcher_submit_times_out_with_structured_outcome(self):
-        batcher = MicroBatcher(_SlowRunner(0.3), window_seconds=0.0)
+        batcher = MicroBatcher(_SlowRunner(0.3))
         job = BatchJob.from_dict({"family": "ghz", "size": 4, "kind": "compile"})
         try:
             outcome = batcher.submit(job, timeout_seconds=0.05)
@@ -483,8 +486,29 @@ class TestCompileWatchdog:
         finally:
             batcher.close()
 
+    def test_coalesced_waiter_times_out_with_structured_outcome(self):
+        batcher = MicroBatcher(_SlowRunner(0.5))
+        job = BatchJob.from_dict({"family": "ghz", "size": 4, "kind": "compile"})
+        leader: dict = {}
+        thread = threading.Thread(
+            target=lambda: leader.update(outcome=batcher.submit(job))
+        )
+        try:
+            thread.start()
+            while batcher.stats_snapshot()["requests"] < 1:
+                time.sleep(0.005)
+            follower = batcher.submit(job, timeout_seconds=0.05)
+            assert batcher.stats_snapshot()["coalesced"] == 1
+            assert follower.ok is False
+            assert follower.error_kind == "timeout"
+            assert "watchdog" in follower.error
+            thread.join()
+            assert leader["outcome"].ok is True
+        finally:
+            batcher.close()
+
     def test_submit_without_timeout_blocks_to_completion(self):
-        batcher = MicroBatcher(_SlowRunner(0.05), window_seconds=0.0)
+        batcher = MicroBatcher(_SlowRunner(0.05))
         job = BatchJob.from_dict({"family": "ghz", "size": 4, "kind": "compile"})
         try:
             outcome = batcher.submit(job)
@@ -498,9 +522,7 @@ class TestCompileWatchdog:
         install_schedule(
             _schedule({"point": "compile.step", "action": "sleep", "seconds": 0.5})
         )
-        service = CompileService(
-            batch_window_seconds=0.0, compile_timeout_s=0.05
-        )
+        service = CompileService(compile_timeout_s=0.05)
         try:
             body = service.compile({"family": "ghz", "size": 4, "kind": "compile"})
             assert body["ok"] is False
@@ -518,7 +540,7 @@ class TestCompileWatchdog:
         install_schedule(
             _schedule({"point": "compile.step", "action": "sleep", "seconds": 0.5})
         )
-        service = CompileService(batch_window_seconds=0.0)  # no default watchdog
+        service = CompileService()  # no default watchdog
         try:
             body = service.compile(
                 {

@@ -585,7 +585,7 @@ class TestLoadgenFaultInjection:
     def test_kill_worker_requires_a_fleet(self, tmp_path):
         from repro.service.server import start_server
 
-        server, _ = start_server(batch_window_seconds=0.01)
+        server, _ = start_server()
         host, port = server.server_address[:2]
         try:
             report = run_loadgen(

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.gates import (
+    SHARED_QUBIT_INDICES,
     Gate,
     GateName,
     Qubit,
@@ -13,6 +16,9 @@ from repro.circuit.gates import (
     emitter,
     photon,
 )
+from repro.core.compiler import compile_graph
+from repro.core.reduction import ReductionOp, ReductionOpType
+from repro.graphs.generators import lattice_graph
 
 
 class TestQubit:
@@ -24,10 +30,45 @@ class TestQubit:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             photon(-1)
+        with pytest.raises(ValueError):
+            emitter(-1)
+        with pytest.raises(ValueError):
+            Qubit(QubitKind.PHOTON, -1)
+
+    def test_shorthands_share_instances_below_the_bound(self):
+        assert emitter(3) is emitter(3)
+        assert photon(3) is photon(3)
+        assert emitter(3) is not photon(3)
+        beyond = SHARED_QUBIT_INDICES + 5
+        assert photon(beyond) == photon(beyond)
+        assert photon(beyond) is not photon(beyond)
 
     def test_repr(self):
         assert repr(emitter(3)) == "e3"
         assert repr(photon(7)) == "p7"
+
+
+class TestSlottedIR:
+    def test_ir_records_have_no_instance_dict(self):
+        records = (
+            emitter(0),
+            Gate(GateName.CNOT, (emitter(0), emitter(1)), tag="stem"),
+            ReductionOp(ReductionOpType.DISCONNECT, emitter=0, emitter_b=1),
+        )
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def test_circuit_survives_a_pickle_round_trip(self):
+        result = compile_graph(lattice_graph(2, 3))
+        circuit = result.circuit
+        restored = pickle.loads(pickle.dumps(circuit))
+        assert restored.gates == circuit.gates
+        assert (restored.num_emitters, restored.num_photons) == (
+            circuit.num_emitters,
+            circuit.num_photons,
+        )
+        op = ReductionOp(ReductionOpType.ABSORB_LEAF, emitter=1, photon=4, tag="x")
+        assert pickle.loads(pickle.dumps(op)) == op
 
 
 class TestGateValidation:

@@ -275,9 +275,7 @@ class TestServiceWireFormat:
         from repro.service.client import ServiceClient
         from repro.service.server import start_server
 
-        server, _ = start_server(
-            cache_dir=str(tmp_path / "cache"), batch_window_seconds=0.01
-        )
+        server, _ = start_server(cache_dir=str(tmp_path / "cache"))
         try:
             host, port = server.server_address[:2]
             client = ServiceClient(f"http://{host}:{port}", timeout=120.0)

@@ -1,14 +1,16 @@
-"""Tests for the compilation service: HTTP endpoints, micro-batching, loadgen."""
+"""Tests for the compilation service: HTTP endpoints, request path, loadgen."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.pipeline.cache import ResultCache
 from repro.pipeline.jobs import BatchJob, GraphSpec
-from repro.pipeline.runner import BatchRunner
+from repro.pipeline.runner import BatchReport, BatchRunner, JobOutcome
 from repro.service.batcher import MicroBatcher
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.loadgen import (
@@ -24,7 +26,7 @@ from repro.service.server import CompileService, start_server
 def served(tmp_path_factory):
     """One cached server shared by the module, plus a client bound to it."""
     cache_dir = tmp_path_factory.mktemp("service-cache")
-    server, _ = start_server(cache_dir=str(cache_dir), batch_window_seconds=0.01)
+    server, _ = start_server(cache_dir=str(cache_dir))
     host, port = server.server_address[:2]
     client = ServiceClient(f"http://{host}:{port}", timeout=120.0)
     client.wait_until_ready()
@@ -182,34 +184,61 @@ class TestBatchEndpoint:
             service.close()
 
 
+class _SlowRunner:
+    """A stand-in runner: every batch sleeps, then echoes each job's size."""
+
+    def __init__(self, seconds: float, cache=None):
+        self.seconds = seconds
+        self.cache = cache
+        self.batches: list[list[BatchJob]] = []
+
+    def run(self, jobs):
+        self.batches.append(list(jobs))
+        time.sleep(self.seconds)
+        return BatchReport(
+            outcomes=[
+                JobOutcome(job=job, result={"size": job.graph.size}) for job in jobs
+            ]
+        )
+
+
+def _linear(size: int) -> BatchJob:
+    return BatchJob(graph=GraphSpec("linear", size), kind="compile")
+
+
+def _wait_for(batcher: MicroBatcher, counter: str, count: int = 1) -> None:
+    deadline = time.monotonic() + 30
+    while batcher.stats_snapshot()[counter] < count:
+        assert time.monotonic() < deadline, f"{counter} never reached {count}"
+        time.sleep(0.005)
+
+
 class TestMicroBatcher:
     def test_concurrent_submissions_share_a_batch(self):
-        batcher = MicroBatcher(
-            BatchRunner(max_workers=1), window_seconds=0.5, max_batch=16
-        )
+        # Jobs queued while the compile thread is busy travel together in
+        # its next batch, and everyone gets the result of their own job.
+        runner = _SlowRunner(0.3)
+        batcher = MicroBatcher(runner)
         try:
             outcomes = {}
-            barrier = threading.Barrier(4)
 
             def submit(size: int) -> None:
-                job = BatchJob(graph=GraphSpec("linear", size), kind="compile")
-                barrier.wait()
-                outcomes[size] = batcher.submit(job)
+                outcomes[size] = batcher.submit(_linear(size))
 
-            threads = [
-                threading.Thread(target=submit, args=(size,)) for size in (3, 4, 5, 6)
-            ]
-            for thread in threads:
+            threads = [threading.Thread(target=submit, args=(3,))]
+            threads[0].start()
+            _wait_for(batcher, "batches")  # the compile thread is busy
+            threads += [threading.Thread(target=submit, args=(s,)) for s in (4, 5, 6)]
+            for thread in threads[1:]:
                 thread.start()
             for thread in threads:
                 thread.join()
             assert all(outcome.ok for outcome in outcomes.values())
-            # Everyone got the result of their own job, not a neighbour's.
             for size, outcome in outcomes.items():
-                assert outcome.result["num_qubits"] == size
-            # The generous window must have coalesced at least one batch.
-            assert batcher.stats.largest_batch >= 2
-            assert batcher.stats.requests == 4
+                assert outcome.result["size"] == size
+            assert [len(batch) for batch in runner.batches] == [1, 3]
+            stats = batcher.stats_snapshot()
+            assert stats["requests"] == 4 and stats["largest_batch"] == 3
         finally:
             batcher.close()
 
@@ -219,17 +248,116 @@ class TestMicroBatcher:
         with pytest.raises(RuntimeError):
             batcher.submit(BatchJob(graph=GraphSpec("linear", 3)))
 
-    def test_full_batch_dispatches_without_waiting_for_the_window(self):
-        batcher = MicroBatcher(
-            BatchRunner(max_workers=1), window_seconds=30.0, max_batch=1
-        )
+    def test_lone_submission_dispatches_without_waiting(self):
+        # No batching window: a quiet-period request is dispatched at once
+        # (the old default window alone held every request for 20 ms).
+        batcher = MicroBatcher(_SlowRunner(0.0))
         try:
-            outcome = batcher.submit(
-                BatchJob(graph=GraphSpec("linear", 3), kind="compile")
-            )
-            assert outcome.ok
+            latencies = []
+            for size in range(3, 8):
+                started = time.perf_counter()
+                assert batcher.submit(_linear(size)).ok
+                latencies.append(time.perf_counter() - started)
+            assert sorted(latencies)[2] < 0.01
         finally:
             batcher.close()
+
+    def test_cache_hit_is_answered_while_a_miss_compiles(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        hot = _linear(7)
+        cache.put(hot.content_hash, {"size": 7})
+        runner = _SlowRunner(1.0, cache=cache)
+        batcher = MicroBatcher(runner)
+        try:
+            miss = threading.Thread(target=batcher.submit, args=(_linear(3),))
+            miss.start()
+            _wait_for(batcher, "batches")
+            started = time.perf_counter()
+            outcome = batcher.submit(hot)
+            latency = time.perf_counter() - started
+            assert outcome.cache_hit is True
+            assert outcome.result == {"size": 7}
+            assert latency < 0.1 * runner.seconds
+            assert miss.is_alive()  # the compile still holds the thread
+            miss.join()
+            stats = batcher.stats_snapshot()
+            assert stats["cache_hits"] == 1 and stats["batches"] == 1
+        finally:
+            batcher.close()
+
+    def test_counters_hold_under_concurrent_mixed_traffic(self, tmp_path):
+        # More threads than cores and a tiny switch interval: a lost
+        # read-modify-write on any counter breaks the sums below.
+        cache = ResultCache(tmp_path)
+        for size in range(3, 7):
+            cache.put(_linear(size).content_hash, {"size": size})
+        batcher = MicroBatcher(_SlowRunner(0.001, cache=cache))
+        sizes = [3 + (i * 7) % 12 for i in range(400)]
+        outcomes: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def worker(chunk: list[int]) -> None:
+                for size in chunk:
+                    outcomes.append((size, batcher.submit(_linear(size))))
+
+            threads = [
+                threading.Thread(target=worker, args=(sizes[i::8],)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            batcher.close()
+        assert all(outcome.result == {"size": size} for size, outcome in outcomes)
+        stats = batcher.stats_snapshot()
+        assert stats["requests"] == len(sizes)
+        hits = sum(outcome.cache_hit for _, outcome in outcomes)
+        coalesced = sum(outcome.coalesced for _, outcome in outcomes)
+        assert (stats["cache_hits"], stats["coalesced"]) == (hits, coalesced)
+        assert hits + coalesced + batcher.stats.batched_jobs == len(sizes)
+        assert (cache.hits, cache.hits + cache.misses) == (hits, len(sizes))
+
+    def test_identical_cold_requests_compile_once(self, monkeypatch):
+        from repro.pipeline import runner as runner_module
+
+        calls = []
+
+        def slow_run_job(job):
+            calls.append(job.content_hash)
+            time.sleep(0.5)
+            return {"num_qubits": job.graph.size}
+
+        monkeypatch.setattr(runner_module, "run_job", slow_run_job)
+        service = CompileService()  # no cache: only coalescing can save work
+        payload = {"family": "linear", "size": 5, "kind": "compile"}
+        try:
+            bodies = []
+            barrier = threading.Barrier(4)
+
+            def request() -> None:
+                barrier.wait()
+                bodies.append(service.compile(payload))
+
+            threads = [threading.Thread(target=request) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len(calls) == 1
+            assert all(body["ok"] for body in bodies)
+            assert sorted(body["coalesced"] for body in bodies) == [
+                False, True, True, True,
+            ]
+            assert not any(body["cache_hit"] for body in bodies)
+            microbatcher = service.healthz()["microbatcher"]
+            assert microbatcher["coalesced"] == 3
+            assert microbatcher["cache_hits"] == 0
+        finally:
+            service.close()
 
 
 class TestLoadgen:
