@@ -27,7 +27,7 @@ either state.  The dict-based state remains the oracle;
 ``tests/test_packed_reduction.py`` property-tests the equivalence across the
 scenario zoo.  Selection follows :mod:`repro.utils.backend` like the other
 GF(2) kernels: :func:`make_reduction_state` returns the packed state on the
-``packed`` and ``arena`` backends and the networkx oracle on ``dense``.
+``packed`` backend and the networkx oracle on ``dense``.
 
 The streaming compiler's windowed state
 (:class:`repro.core.streaming.StreamingReductionState`) subclasses this one:
@@ -491,9 +491,7 @@ def make_reduction_state(
     ``backend=None`` resolves to the process default
     (:func:`repro.utils.backend.get_default_backend`): ``dense`` returns the
     networkx-backed :class:`~repro.core.reduction.ReductionState` oracle,
-    ``packed`` and ``arena`` the bitset-native :class:`PackedReductionState`
-    (the arena backend covers the bulk elimination kernels only: reduction
-    updates are single-row operations with nothing to batch).  Both states
+    ``packed`` the bitset-native :class:`PackedReductionState`.  Both states
     produce bit-identical operation sequences for identical inputs.
     """
     cls = ReductionState if resolve_backend(backend) == DENSE else PackedReductionState

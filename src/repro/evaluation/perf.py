@@ -1,6 +1,6 @@
 """Perf-trajectory benchmark behind ``repro bench``.
 
-Four sections pin the compiler's perf trajectory:
+Five sections pin the compiler's perf trajectory:
 
 * **height function** — the naive from-scratch evaluation (one rank solve
   per prefix, the historical implementation) against the incremental
@@ -22,15 +22,14 @@ Four sections pin the compiler's perf trajectory:
   strategy rung timed once and replayed against a deadline grid (the curve
   is monotone by construction — the CI gate), plus live deadline-bounded
   compiles recording elapsed time and deadline misses;
-* **arena kernels** — arena-vs-packed medians for the bulk GF(2)
-  elimination kernels across matrix widths, with the measured crossover
-  size (the figure the auto-selection threshold tracks);
 * **streaming compile** — bounded-window partition-compiles of >= 1e5-vertex
-  lattice/GHZ families under ``tracemalloc``, with a sublinear-peak-memory
-  guard and (at small sizes) bit-identity against the whole-graph oracle.
+  lattice/GHZ families, with a sublinear-peak-memory guard on a separate
+  ``tracemalloc`` run and (at small sizes) bit-identity against the
+  whole-graph oracle.
 
-Every section also records its :mod:`tracemalloc` peak in
-``peak_memory_bytes``.  ``repro bench`` writes the result to
+Every timing is taken with :mod:`tracemalloc` off; only the streaming
+section's memory peaks come from traced runs, made apart from the timed
+ones.  ``repro bench`` writes the result to
 ``BENCH_emitters.json`` so future PRs (and the CI bench-smoke artifact) can
 diff the numbers instead of guessing.
 """
@@ -55,7 +54,6 @@ from repro.utils.backend import get_default_backend, resolve_backend, use_backen
 
 __all__ = [
     "CACHE_BENCH_FAMILIES",
-    "DEFAULT_ARENA_SIZES",
     "DEFAULT_BENCH_SIZES",
     "DEFAULT_CACHE_SIZES",
     "DEFAULT_COMPILE_SIZES",
@@ -66,7 +64,6 @@ __all__ = [
     "STREAM_BENCH_FAMILIES",
     "bench_graph",
     "naive_height_function",
-    "run_arena_bench",
     "run_cache_bench",
     "run_compile_bench",
     "run_emitter_bench",
@@ -105,11 +102,6 @@ DEFAULT_PORTFOLIO_DEADLINES_MS = (50.0, 200.0, 1000.0, 5000.0)
 #: structured rewired one, and a star-shaped family the selector halves the
 #: anneal budget for.
 PORTFOLIO_BENCH_FAMILIES = ("regular", "smallworld", "ghz")
-
-#: Default matrix widths for the arena-vs-packed kernel section.  The sweep
-#: straddles :data:`repro.utils.backend.DEFAULT_ARENA_THRESHOLD` so the
-#: measured crossover lands inside it.
-DEFAULT_ARENA_SIZES = (64, 128, 256, 512, 1024)
 
 #: Default vertex counts for the streaming-compile section.  The top size is
 #: the paper-scale >= 1e5-vertex point the tentpole targets; the 4x size
@@ -508,8 +500,9 @@ def _traced_peak(func: Callable[[], object]) -> tuple[object, int]:
     """Run ``func`` and return ``(result, peak traced bytes)``.
 
     Uses :mod:`tracemalloc` so the figure is allocation truth, not RSS noise.
-    Nest-safe: when tracing is already active the peak counter is reset
-    instead of restarted, so sections can wrap sub-sections.
+    Tracing slows the traced code several-fold, so no timing may come from
+    this call.  When tracing is already active the peak counter is reset
+    instead of restarted.
     """
     already = tracemalloc.is_tracing()
     if not already:
@@ -524,82 +517,6 @@ def _traced_peak(func: Callable[[], object]) -> tuple[object, int]:
     return result, int(peak)
 
 
-def run_arena_bench(
-    sizes: Sequence[int] = DEFAULT_ARENA_SIZES,
-    repeats: int = 3,
-    seed: int = 2025,
-) -> dict:
-    """Arena-vs-packed GF(2) kernel medians and the measured crossover.
-
-    Square random matrices of every width in ``sizes`` are pushed through
-    both implementations of the bulk Gauss–Jordan kernels (``rref``;
-    ``rank`` is reported alongside as the roughly-at-parity comparator),
-    results asserted bit-identical, medians recorded.  The
-    ``crossover_size`` is the smallest swept width where the arena rref
-    beats packed — the figure
-    :data:`repro.utils.backend.DEFAULT_ARENA_THRESHOLD` tracks.
-
-    Returns
-    -------
-    dict
-        JSON-serialisable record with ``kernel_results`` and
-        ``crossover_size``.
-    """
-    from repro.utils import gf2_arena, gf2_packed
-    from repro.utils.backend import DEFAULT_ARENA_THRESHOLD
-
-    rng = np.random.default_rng(seed)
-    kernel_results = []
-    crossover = None
-    for size in sizes:
-        matrix = rng.integers(0, 2, size=(int(size), int(size)), dtype=np.uint8)
-        packed_rref, packed_pivots = gf2_packed.packed_gf2_rref(matrix)
-        arena_rref, arena_pivots = gf2_arena.arena_gf2_rref(matrix)
-        if packed_pivots != arena_pivots or not np.array_equal(packed_rref, arena_rref):
-            raise AssertionError(  # pragma: no cover - correctness guard
-                f"arena rref diverges from the packed result at width {size}"
-            )
-        if gf2_packed.packed_gf2_rank(matrix) != gf2_arena.arena_gf2_rank(matrix):
-            raise AssertionError(  # pragma: no cover - correctness guard
-                f"arena rank diverges from the packed result at width {size}"
-            )
-        packed_rref_median = _median_seconds(
-            lambda m=matrix: gf2_packed.packed_gf2_rref(m), repeats
-        )
-        arena_rref_median = _median_seconds(
-            lambda m=matrix: gf2_arena.arena_gf2_rref(m), repeats
-        )
-        packed_rank_median = _median_seconds(
-            lambda m=matrix: gf2_packed.packed_gf2_rank(m), repeats
-        )
-        arena_rank_median = _median_seconds(
-            lambda m=matrix: gf2_arena.arena_gf2_rank(m), repeats
-        )
-        if crossover is None and arena_rref_median < packed_rref_median:
-            crossover = int(size)
-        kernel_results.append(
-            {
-                "size": int(size),
-                "packed_rref_median_seconds": packed_rref_median,
-                "arena_rref_median_seconds": arena_rref_median,
-                "rref_speedup": (
-                    packed_rref_median / arena_rref_median
-                    if arena_rref_median > 0
-                    else float("inf")
-                ),
-                "packed_rank_median_seconds": packed_rank_median,
-                "arena_rank_median_seconds": arena_rank_median,
-            }
-        )
-
-    return {
-        "sizes": [int(s) for s in sizes],
-        "kernel_results": kernel_results,
-        "crossover_size": crossover,
-        "default_threshold": DEFAULT_ARENA_THRESHOLD,
-    }
-
-
 def run_stream_bench(
     sizes: Sequence[int] = DEFAULT_STREAM_SIZES,
     families: Sequence[str] = STREAM_BENCH_FAMILIES,
@@ -609,9 +526,10 @@ def run_stream_bench(
 ) -> list[dict]:
     """Streaming partition-compiles with tracked (sublinear) peak memory.
 
-    Every ``(family, size)`` point runs one :func:`repro.core.streaming.
-    compile_stream` under :mod:`tracemalloc` and records the traced peak,
-    the window statistics and the compile outcome.  Sizes at or below
+    Every ``(family, size)`` point runs one untraced :func:`repro.core.
+    streaming.compile_stream`, which gives the timing, the window statistics
+    and the compile outcome, and a second one under :mod:`tracemalloc`,
+    which gives only the traced peak.  Sizes at or below
     ``verify_limit`` are additionally compiled with operation collection and
     asserted **bit-identical** to ``greedy_reduce`` on the materialised
     graph — the CI smoke run drives this path with tiny sizes.
@@ -666,7 +584,8 @@ def run_stream_bench(
                         f"streamed {family} compile diverges from the "
                         f"whole-graph oracle at size {size}"
                     )
-            result, peak_bytes = _traced_peak(lambda s=spec: compile_stream(s))
+            result = compile_stream(spec)
+            _, peak_bytes = _traced_peak(lambda s=spec: compile_stream(s))
             family_entries.append(
                 {
                     "family": family,
@@ -716,7 +635,6 @@ def run_emitter_bench(
     cache_sizes: Sequence[int] = DEFAULT_CACHE_SIZES,
     portfolio_sizes: Sequence[int] = DEFAULT_PORTFOLIO_SIZES,
     portfolio_deadlines_ms: Sequence[float] = DEFAULT_PORTFOLIO_DEADLINES_MS,
-    arena_sizes: Sequence[int] = DEFAULT_ARENA_SIZES,
     stream_sizes: Sequence[int] = DEFAULT_STREAM_SIZES,
 ) -> dict:
     """Measure naive-vs-incremental height functions across ``sizes``.
@@ -742,9 +660,6 @@ def run_emitter_bench(
         (:func:`run_portfolio_bench`); empty disables the section.
     portfolio_deadlines_ms : Sequence[float], optional
         Deadline grid for the anytime-portfolio section.
-    arena_sizes : Sequence[int], optional
-        Matrix widths for the arena-vs-packed kernel section
-        (:func:`run_arena_bench`); empty disables the section.
     stream_sizes : Sequence[int], optional
         Vertex counts for the streaming-compile section
         (:func:`run_stream_bench`); empty disables the section.
@@ -760,79 +675,62 @@ def run_emitter_bench(
         ``compile_graph`` medians per size, a ``cache_results`` section
         with cold-vs-warm compile-cache medians per zoo family and size,
         a ``portfolio_results`` section with anytime quality-vs-deadline
-        curves per zoo family and size, an ``arena_results`` section with
-        arena-vs-packed kernel medians and the measured crossover, a
-        ``stream_results`` section with bounded-window streaming compiles,
-        and ``peak_memory_bytes`` with the tracemalloc peak of every section.
+        curves per zoo family and size, and a ``stream_results`` section
+        with bounded-window streaming compiles and their traced peaks.
     """
     resolved = resolve_backend(backend)
 
-    def heights_section() -> list[dict]:
-        results = []
-        with use_backend(resolved):
-            for size in sizes:
-                graph = bench_graph(int(size), seed=seed)
-                ordering = graph.vertices()
-                naive = naive_height_function(graph, ordering)
-                incremental = CutRankEngine(graph, checkpoint=False).heights(ordering)
-                if naive != incremental:  # pragma: no cover - correctness guard
-                    raise AssertionError(
-                        f"incremental heights diverge from the naive oracle at "
-                        f"size {size}"
-                    )
-                naive_median = _median_seconds(
-                    lambda g=graph, o=ordering: naive_height_function(g, o), repeats
+    results = []
+    with use_backend(resolved):
+        for size in sizes:
+            graph = bench_graph(int(size), seed=seed)
+            ordering = graph.vertices()
+            naive = naive_height_function(graph, ordering)
+            incremental = CutRankEngine(graph, checkpoint=False).heights(ordering)
+            if naive != incremental:  # pragma: no cover - correctness guard
+                raise AssertionError(
+                    f"incremental heights diverge from the naive oracle at "
+                    f"size {size}"
                 )
-                incremental_median = _median_seconds(
-                    lambda g=graph, o=ordering: CutRankEngine(
-                        g, checkpoint=False
-                    ).heights(o),
-                    repeats,
-                )
-                greedy = optimize_emission_ordering(graph, strategy="greedy")
-                results.append(
-                    {
-                        "size": int(size),
-                        "num_edges": graph.num_edges,
-                        "naive_median_seconds": naive_median,
-                        "incremental_median_seconds": incremental_median,
-                        "speedup": (
-                            naive_median / incremental_median
-                            if incremental_median > 0
-                            else float("inf")
-                        ),
-                        "natural_peak": max(naive),
-                        "greedy_peak": greedy.peak_height,
-                    }
-                )
-        return results
+            naive_median = _median_seconds(
+                lambda g=graph, o=ordering: naive_height_function(g, o), repeats
+            )
+            incremental_median = _median_seconds(
+                lambda g=graph, o=ordering: CutRankEngine(
+                    g, checkpoint=False
+                ).heights(o),
+                repeats,
+            )
+            greedy = optimize_emission_ordering(graph, strategy="greedy")
+            results.append(
+                {
+                    "size": int(size),
+                    "num_edges": graph.num_edges,
+                    "naive_median_seconds": naive_median,
+                    "incremental_median_seconds": incremental_median,
+                    "speedup": (
+                        naive_median / incremental_median
+                        if incremental_median > 0
+                        else float("inf")
+                    ),
+                    "natural_peak": max(naive),
+                    "greedy_peak": greedy.peak_height,
+                }
+            )
 
-    peak_memory: dict[str, int] = {}
-    results, peak_memory["heights"] = _traced_peak(heights_section)
     # The dense comparator makes end-to-end compiles expensive; cap the
     # compile-section repeats and record the capped value separately so two
     # records stay comparable.
     compile_repeats = min(int(repeats), 2)
-    compile_results, peak_memory["compile"] = _traced_peak(
-        lambda: run_compile_bench(sizes=compile_sizes, repeats=compile_repeats, seed=seed)
+    compile_results = run_compile_bench(
+        sizes=compile_sizes, repeats=compile_repeats, seed=seed
     )
-    cache_results, peak_memory["cache"] = _traced_peak(
-        lambda: run_cache_bench(sizes=cache_sizes, repeats=compile_repeats)
+    cache_results = run_cache_bench(sizes=cache_sizes, repeats=compile_repeats)
+    portfolio_results = run_portfolio_bench(
+        sizes=portfolio_sizes, deadlines_ms=portfolio_deadlines_ms, seed=seed
     )
-    portfolio_results, peak_memory["portfolio"] = _traced_peak(
-        lambda: run_portfolio_bench(
-            sizes=portfolio_sizes, deadlines_ms=portfolio_deadlines_ms, seed=seed
-        )
-    )
-    arena_results, peak_memory["arena"] = _traced_peak(
-        lambda: (
-            run_arena_bench(sizes=arena_sizes, repeats=repeats, seed=seed)
-            if arena_sizes
-            else {}
-        )
-    )
-    stream_results, peak_memory["stream"] = _traced_peak(
-        lambda: run_stream_bench(sizes=stream_sizes, seed=seed) if stream_sizes else []
+    stream_results = (
+        run_stream_bench(sizes=stream_sizes, seed=seed) if stream_sizes else []
     )
     return {
         "benchmark": "emitters",
@@ -855,12 +753,9 @@ def run_emitter_bench(
         "portfolio_deadlines_ms": [float(d) for d in portfolio_deadlines_ms],
         "portfolio_families": list(PORTFOLIO_BENCH_FAMILIES),
         "portfolio_results": portfolio_results,
-        "arena_sizes": [int(s) for s in arena_sizes],
-        "arena_results": arena_results,
         "stream_sizes": [int(s) for s in stream_sizes],
         "stream_families": list(STREAM_BENCH_FAMILIES),
         "stream_results": stream_results,
-        "peak_memory_bytes": peak_memory,
     }
 
 
@@ -874,7 +769,6 @@ def write_bench_file(
     cache_sizes: Sequence[int] = DEFAULT_CACHE_SIZES,
     portfolio_sizes: Sequence[int] = DEFAULT_PORTFOLIO_SIZES,
     portfolio_deadlines_ms: Sequence[float] = DEFAULT_PORTFOLIO_DEADLINES_MS,
-    arena_sizes: Sequence[int] = DEFAULT_ARENA_SIZES,
     stream_sizes: Sequence[int] = DEFAULT_STREAM_SIZES,
 ) -> dict:
     """Run :func:`run_emitter_bench` and dump the record to ``path``."""
@@ -887,7 +781,6 @@ def write_bench_file(
         cache_sizes=cache_sizes,
         portfolio_sizes=portfolio_sizes,
         portfolio_deadlines_ms=portfolio_deadlines_ms,
-        arena_sizes=arena_sizes,
         stream_sizes=stream_sizes,
     )
     path = Path(path)

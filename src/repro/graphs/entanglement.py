@@ -16,8 +16,7 @@ settings ``N_e^limit = 1.5 N_e^min`` and ``2 N_e^min``.
 Two implementations back these functions (see :mod:`repro.utils.backend`):
 the ``"dense"`` backend keeps the original from-scratch construction — one
 bipartite matrix and one rank solve per query — as the bit-exact oracle,
-while the default ``"packed"`` backend (and ``"arena"``, whose word arenas
-only serve bulk eliminations) ranks the graph's cached integer-row
+while the default ``"packed"`` backend ranks the graph's cached integer-row
 adjacency (:meth:`repro.graphs.graph_state.GraphState.packed_adjacency`)
 and evaluates whole height functions through the incremental
 :class:`repro.graphs.incremental.CutRankEngine` in a single sweep.
@@ -47,8 +46,8 @@ def cut_rank(
     Equals the entanglement entropy (in bits) of the graph state across the
     cut.  Vertices in ``subset`` must belong to the graph.  ``backend``
     selects the GF(2) kernel implementation (``None`` = process default; see
-    :mod:`repro.utils.backend`): the packed and arena backends rank the
-    graph's cached integer adjacency rows directly, the dense backend
+    :mod:`repro.utils.backend`): the packed backend ranks the graph's
+    cached integer adjacency rows directly, the dense backend
     rebuilds the bipartite matrix from scratch and serves as the oracle.
     """
     subset_list = list(dict.fromkeys(subset))

@@ -32,9 +32,7 @@ searches) possible.
 
 Rows are Python integers in the :class:`repro.graphs.graph_state.
 PackedAdjacency` convention; the elimination kernel is shared with
-:mod:`repro.utils.gf2_packed`.  The engine runs on these big-int rows on
-every GF(2) backend, ``arena`` included: each insertion is a single-row
-update with nothing for the arena's vectorised bulk kernels to batch.
+:mod:`repro.utils.gf2_packed`.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from repro.stabilizer.canonical import canonical_stabilizer_matrix, states_equal
 from repro.stabilizer.tableau import StabilizerState
 from repro.utils import gf2
 from repro.utils.backend import (
+    _backend_from_env,
     get_default_backend,
     resolve_backend,
     set_default_backend,
@@ -57,6 +58,13 @@ class TestBackendRegistry:
         assert resolve_backend("PACKED") == "packed"
         with pytest.raises(ValueError):
             resolve_backend("simd")
+        with pytest.raises(ValueError):
+            resolve_backend("arena")
+
+    def test_unrecognised_env_value_falls_back_to_packed(self, monkeypatch):
+        monkeypatch.setenv("REPRO_GF2_BACKEND", "arena")
+        with pytest.warns(RuntimeWarning, match="REPRO_GF2_BACKEND"):
+            assert _backend_from_env() == "packed"
 
     def test_use_backend_restores_default(self):
         before = get_default_backend()
@@ -157,6 +165,48 @@ class TestKernelEquivalence:
             packed_rref, packed_pivots = gf2.gf2_rref(matrix, backend="packed")
             assert packed_pivots == dense_pivots
             assert np.array_equal(packed_rref, dense_rref)
+
+    @pytest.mark.parametrize("cols", [63, 64, 65, 127, 128, 129, 200])
+    def test_word_boundary_widths(self, cols):
+        """Widths straddling the 64-bit word boundary stay bit-identical."""
+        rng = np.random.default_rng(cols)
+        matrix = rng.integers(0, 2, size=(40, cols), dtype=np.uint8)
+        assert gf2.gf2_rank(matrix, backend="packed") == gf2.gf2_rank(
+            matrix, backend="dense"
+        )
+        dense_rref, dense_pivots = gf2.gf2_rref(matrix, backend="dense")
+        packed_rref, packed_pivots = gf2.gf2_rref(matrix, backend="packed")
+        assert packed_pivots == dense_pivots
+        assert np.array_equal(packed_rref, dense_rref)
+        assert np.array_equal(
+            gf2.gf2_nullspace(matrix, backend="packed"),
+            gf2.gf2_nullspace(matrix, backend="dense"),
+        )
+
+    @pytest.mark.parametrize("rows", [65, 130])
+    def test_tall_matrices_beyond_64_rows(self, rows):
+        rng = np.random.default_rng(rows)
+        matrix = rng.integers(0, 2, size=(rows, 30), dtype=np.uint8)
+        assert gf2.gf2_rank(matrix, backend="packed") == gf2.gf2_rank(
+            matrix, backend="dense"
+        )
+
+    def test_dense_solve_and_nullspace_stay_on_dense(self, monkeypatch):
+        """The dense oracle never hands its inner elimination to packed."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense oracle called the packed rref")
+
+        monkeypatch.setattr(gf2.gf2_packed, "packed_gf2_rref", forbidden)
+        matrix = random_matrix(6, 9, seed=11)
+        rhs = gf2.gf2_matmul(matrix, random_matrix(9, 1, seed=12)).ravel()
+        with use_backend("packed"):
+            solution = gf2.gf2_solve(matrix, rhs, backend="dense")
+            nullspace = gf2.gf2_nullspace(matrix, backend="dense")
+        assert solution is not None
+        assert np.array_equal(gf2.gf2_matmul(matrix, solution.reshape(-1, 1)).ravel(), rhs)
+        assert nullspace.shape[1] == 9
+        assert not gf2.gf2_matmul(matrix, nullspace.T).any()
 
 
 def random_graph(num_vertices: int, seed: int) -> GraphState:

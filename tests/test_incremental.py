@@ -8,7 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.entanglement import cut_rank, height_function
-from repro.graphs.generators import lattice_graph, linear_cluster, waxman_graph
+from repro.graphs.generators import (
+    erdos_renyi_graph,
+    ghz_graph,
+    lattice_graph,
+    linear_cluster,
+    percolated_lattice,
+    random_regular_graph,
+    rotated_surface_code_graph,
+    steane_code_graph,
+    watts_strogatz_graph,
+    waxman_graph,
+)
 from repro.graphs.graph_state import GraphState
 from repro.graphs.incremental import CutRankEngine, incremental_height_function
 from repro.pipeline.jobs import GraphSpec
@@ -34,6 +45,18 @@ def zoo_graph(family: str, size: int, seed: int) -> GraphState:
     elif family == "regular":
         size = max(size, 4)
     return GraphSpec(family=family, size=size, seed=seed).build()
+
+
+#: One fixed graph per zoo family, for the deterministic backend comparison.
+ZOO_GRAPHS = {
+    "regular": lambda: random_regular_graph(12, degree=3, seed=5),
+    "smallworld": lambda: watts_strogatz_graph(14, k=4, seed=5),
+    "erdos": lambda: erdos_renyi_graph(12, seed=5),
+    "percolated": lambda: percolated_lattice(4, 4, seed=5),
+    "ghz": lambda: ghz_graph(10),
+    "steane": lambda: steane_code_graph(),
+    "surface": lambda: rotated_surface_code_graph(3),
+}
 
 
 def dense_oracle_heights(graph: GraphState, ordering) -> list[int]:
@@ -86,6 +109,29 @@ class TestEngineOracleEquivalence:
             assert cut_rank(graph, subset, backend="packed") == cut_rank(
                 graph, subset, backend="dense"
             )
+
+
+class TestCutRankEngineBackends:
+    """Height functions match the dense per-prefix oracle on both backends.
+
+    ``packed`` evaluates through one ``CutRankEngine`` sweep over the packed
+    rows; ``dense`` ranks every prefix from scratch.
+    """
+
+    @pytest.mark.parametrize("family", sorted(ZOO_GRAPHS))
+    def test_heights_identical(self, family):
+        graph = ZOO_GRAPHS[family]()
+        ordering = list(graph.vertices())
+        dense = height_function(graph, ordering, backend="dense")
+        assert height_function(graph, ordering, backend="packed") == dense, family
+        assert CutRankEngine(graph).heights(ordering) == dense, family
+
+    def test_engine_beyond_word_boundary(self):
+        graph = erdos_renyi_graph(70, seed=4)
+        ordering = list(graph.vertices())
+        assert CutRankEngine(graph).heights(ordering) == height_function(
+            graph, ordering, backend="dense"
+        )
 
 
 class TestCheckpointRollback:

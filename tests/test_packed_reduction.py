@@ -22,7 +22,12 @@ from repro.core.packed_reduction import PackedReductionState, make_reduction_sta
 from repro.core.plan_scoring import score_sequence
 from repro.core.reduction import InsufficientEmittersError, ReductionState
 from repro.core.strategies import GreedyReductionStrategy, greedy_reduce
-from repro.graphs.generators import lattice_graph, linear_cluster, star_graph
+from repro.graphs.generators import (
+    erdos_renyi_graph,
+    lattice_graph,
+    linear_cluster,
+    star_graph,
+)
 from repro.graphs.graph_state import GraphState
 from repro.pipeline.jobs import GraphSpec
 
@@ -145,14 +150,22 @@ class TestOracleEquivalence:
         assert packed.emitters_over_budget == dense.emitters_over_budget
         assert packed.operations == dense.operations
 
+    def test_packed_beyond_word_boundary(self):
+        """A >64-vertex graph exercises multi-word packed rows end to end."""
+        graph = erdos_renyi_graph(70, seed=9)
+        ref = greedy_reduce(graph, backend="dense")
+        got = greedy_reduce(graph, backend="packed")
+        assert got.operations == ref.operations
+        assert got.num_emitters == ref.num_emitters
+
 
 class TestPackedStateBasics:
     def test_make_reduction_state_selects_backend(self):
         graph = linear_cluster(4)
-        assert isinstance(
-            make_reduction_state(graph, backend="packed"), PackedReductionState
-        )
-        assert isinstance(make_reduction_state(graph, backend="dense"), ReductionState)
+        assert type(make_reduction_state(graph, backend="packed")) is PackedReductionState
+        dense = make_reduction_state(graph, backend="dense")
+        assert isinstance(dense, ReductionState)
+        assert not isinstance(dense, PackedReductionState)
 
     def test_queries_match_oracle_midway(self):
         graph = star_graph(6)

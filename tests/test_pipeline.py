@@ -83,6 +83,8 @@ class TestBatchJob:
         with pytest.raises(ValueError):
             BatchJob(graph=spec, backend="simd")
         with pytest.raises(ValueError):
+            BatchJob(graph=spec, backend="arena")
+        with pytest.raises(ValueError):
             BatchJob(graph=spec, hardware="abacus")
 
     def test_from_dict_roundtrips_as_dict(self):

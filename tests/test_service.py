@@ -72,6 +72,11 @@ class TestCompileEndpoint:
             served.compile(family="moebius", size=5)
         assert excinfo.value.status == 400
 
+    def test_unknown_backend_is_a_400(self, served):
+        with pytest.raises(ServiceError) as excinfo:
+            served.compile(family="lattice", size=6, backend="arena")
+        assert excinfo.value.status == 400
+
     def test_unknown_job_key_is_a_400(self, served):
         with pytest.raises(ServiceError) as excinfo:
             served.compile_payload({"family": "lattice", "size": 6, "sizee": 1})
